@@ -18,37 +18,23 @@ paper's figures show:
   fault hypothesis and active impairments).
 """
 
-from repro.analysis.aggregate import AggregateBucket, aggregate_series
-from repro.analysis.bounds_theory import (
-    TheoreticalBounds,
-    attack_allowance,
-    predict_bounds,
-    predict_testbed_bounds,
-    predict_topology_bounds,
-)
-from repro.analysis.histogram import HistogramResult, histogram
-from repro.analysis.report import (
-    render_envelope,
-    render_histogram,
-    render_series,
-    render_timeline,
-)
-from repro.analysis.timeline import EventTimeline, extract_timeline
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "aggregate_series",
-    "AggregateBucket",
-    "histogram",
-    "HistogramResult",
-    "extract_timeline",
-    "EventTimeline",
-    "render_series",
-    "render_histogram",
-    "render_envelope",
-    "render_timeline",
-    "TheoreticalBounds",
-    "attack_allowance",
-    "predict_bounds",
-    "predict_testbed_bounds",
-    "predict_topology_bounds",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "aggregate": ("aggregate_series", "AggregateBucket"),
+    "histogram": ("histogram", "HistogramResult"),
+    "timeline": ("extract_timeline", "EventTimeline"),
+    "report": (
+        "render_series",
+        "render_histogram",
+        "render_envelope",
+        "render_timeline",
+    ),
+    "bounds_theory": (
+        "TheoreticalBounds",
+        "attack_allowance",
+        "predict_bounds",
+        "predict_testbed_bounds",
+        "predict_topology_bounds",
+    ),
+})

@@ -1,29 +1,19 @@
 """Declarative chaos plans and their runtime orchestrator."""
 
-from repro.chaos.orchestrator import ChaosOrchestrator
-from repro.chaos.plan import (
-    ATTACK_KINDS,
-    CHAOS_ACTIONS,
-    GM_ATTACK_KINDS,
-    LINK_ATTACK_KINDS,
-    ChaosPlan,
-    ChaosStage,
-    dump_plan,
-    load_plan,
-    merge_plans,
-    single_loss_plan,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ATTACK_KINDS",
-    "CHAOS_ACTIONS",
-    "GM_ATTACK_KINDS",
-    "LINK_ATTACK_KINDS",
-    "ChaosOrchestrator",
-    "ChaosPlan",
-    "ChaosStage",
-    "dump_plan",
-    "load_plan",
-    "merge_plans",
-    "single_loss_plan",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "plan": (
+        "ATTACK_KINDS",
+        "CHAOS_ACTIONS",
+        "GM_ATTACK_KINDS",
+        "LINK_ATTACK_KINDS",
+        "ChaosPlan",
+        "ChaosStage",
+        "dump_plan",
+        "load_plan",
+        "merge_plans",
+        "single_loss_plan",
+    ),
+    "orchestrator": ("ChaosOrchestrator",),
+})

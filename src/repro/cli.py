@@ -32,21 +32,8 @@ import sys
 import time
 from typing import Any, Dict, List, Optional
 
-from repro.analysis.report import render_histogram, render_series, render_timeline
-from repro.experiments.baselines import (
-    run_client_only_baseline,
-    run_full_architecture,
-    run_single_domain_baseline,
-)
-from repro.experiments.cyber import CyberExperimentConfig, run_cyber_experiment
-from repro.experiments.fault_injection import (
-    FaultInjectionExperimentConfig,
-    run_fault_injection_experiment,
-)
-from repro.experiments.testbed import Testbed, TestbedConfig
-from repro.security.diversity import shared_vulnerabilities, vulnerabilities_of
-from repro.security.kernels import VULNERABILITY_DB
-from repro.sim.timebase import HOURS, MINUTES, SECONDS
+# Each subcommand imports what it runs, so ``--help``, ``study status`` and
+# ``cache`` load no simulation code.
 
 
 def _emit(args: argparse.Namespace, text: str, payload: Dict[str, Any]) -> None:
@@ -70,6 +57,9 @@ def _scenario_of(args: argparse.Namespace):
 # Subcommands
 # ----------------------------------------------------------------------
 def cmd_survey(args: argparse.Namespace) -> int:
+    from repro.experiments.testbed import Testbed, TestbedConfig
+    from repro.sim.timebase import SECONDS
+
     spec = _scenario_of(args)
     testbed = Testbed(
         spec.testbed_config(seed=args.seed)
@@ -90,6 +80,12 @@ def cmd_survey(args: argparse.Namespace) -> int:
 
 
 def cmd_cyber(args: argparse.Namespace) -> int:
+    from repro.analysis.report import render_series
+    from repro.experiments.cyber import (
+        CyberExperimentConfig,
+        run_cyber_experiment,
+    )
+
     config = CyberExperimentConfig(
         kernel_policy=args.policy, seed=args.seed
     ).scaled(args.scale)
@@ -115,6 +111,17 @@ def cmd_cyber(args: argparse.Namespace) -> int:
 
 
 def cmd_faults(args: argparse.Namespace) -> int:
+    from repro.analysis.report import (
+        render_histogram,
+        render_series,
+        render_timeline,
+    )
+    from repro.experiments.fault_injection import (
+        FaultInjectionExperimentConfig,
+        run_fault_injection_experiment,
+    )
+    from repro.sim.timebase import HOURS
+
     spec = _scenario_of(args)
     base = FaultInjectionExperimentConfig(seed=args.seed, scenario=spec)
     if args.hours >= 24 and not args.compress:
@@ -180,6 +187,13 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
 
 def cmd_baselines(args: argparse.Namespace) -> int:
+    from repro.experiments.baselines import (
+        run_client_only_baseline,
+        run_full_architecture,
+        run_single_domain_baseline,
+    )
+    from repro.sim.timebase import MINUTES
+
     duration = round(args.minutes * MINUTES)
     spec = _scenario_of(args)
     results = [
@@ -232,6 +246,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         run_chaos_experiment,
     )
     from repro.monitoring import FAIL, PASS
+    from repro.sim.timebase import SECONDS
 
     if args.plan and args.loss is not None:
         print("use --plan or --loss, not both", file=sys.stderr)
@@ -306,12 +321,14 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         ChaosExperimentConfig,
         run_chaos_experiment,
     )
+    from repro.experiments.testbed import TestbedConfig
     from repro.monitoring import FAIL, PASS
     from repro.security.campaigns import (
         colluder_campaign,
         default_gm_names,
         load_campaign,
     )
+    from repro.sim.timebase import SECONDS
 
     if (args.file is None) == (args.colluders is None):
         print("use exactly one of --file or --colluders", file=sys.stderr)
@@ -735,21 +752,7 @@ def _retry_policy(args):
 
 
 def cmd_study(args: argparse.Namespace) -> int:
-    from repro.resilience import InjectedCrash
-    from repro.studies import (
-        LedgerCorruptError,
-        StudyInterrupted,
-        StudyLedger,
-        run_study,
-    )
-    from repro.studies.specs import (
-        load_spec,
-        plan_from_spec,
-        render_run,
-        run_payload,
-        spec_name,
-        validate_spec,
-    )
+    from repro.studies import LedgerCorruptError, StudyLedger
 
     if args.action == "status":
         try:
@@ -759,6 +762,17 @@ def cmd_study(args: argparse.Namespace) -> int:
             return 2
         _emit(args, ledger.describe(), ledger.to_dict())
         return 0 if ledger.complete else 1
+
+    from repro.resilience import InjectedCrash
+    from repro.studies import StudyInterrupted, run_study
+    from repro.studies.specs import (
+        load_spec,
+        plan_from_spec,
+        render_run,
+        run_payload,
+        spec_name,
+        validate_spec,
+    )
 
     faults = _fault_injector(args)
     salvaged = False
@@ -1030,6 +1044,12 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
 
 
 def cmd_vulnerabilities(args: argparse.Namespace) -> int:
+    from repro.security.diversity import (
+        shared_vulnerabilities,
+        vulnerabilities_of,
+    )
+    from repro.security.kernels import VULNERABILITY_DB
+
     if args.compare:
         a, b = args.compare
         shared = shared_vulnerabilities(a, b)

@@ -43,6 +43,21 @@ class AggregationResult:
     dropped_high: Tuple[float, ...]
 
 
+def _contained_mean(ordered: Tuple[float, ...]) -> float:
+    """Mean of sorted readings, kept inside ``[ordered[0], ordered[-1]]``.
+
+    Float rounding can leave ``sum / len`` outside the readings it
+    averages: three copies of ``699051.5243092796`` average to
+    ``699051.5243092797``. The clamp changes nothing otherwise.
+    """
+    value = sum(ordered) / len(ordered)
+    if value < ordered[0]:
+        return ordered[0]
+    if value > ordered[-1]:
+        return ordered[-1]
+    return value
+
+
 def fault_tolerant_average(values: Sequence[float], f: int) -> AggregationResult:
     """Kopetz–Ochsenreiter FTA: drop ``f`` extremes each side, average.
 
@@ -65,7 +80,7 @@ def fault_tolerant_average(values: Sequence[float], f: int) -> AggregationResult
     drop = min(f, (len(ordered) - 1) // 2)
     used = tuple(ordered[drop: len(ordered) - drop])
     return AggregationResult(
-        sum(used) / len(used),
+        _contained_mean(used),
         used,
         tuple(ordered[:drop]),
         tuple(ordered[len(ordered) - drop:]),
@@ -78,6 +93,8 @@ def fault_tolerant_midpoint(values: Sequence[float], f: int) -> AggregationResul
     Used by TTP/TTEthernet-style compression masters; included for the
     ablation study.
     """
+    if f < 0:
+        raise ValueError(f"f must be nonnegative, got {f}")
     if not values:
         raise ValueError("cannot aggregate zero readings")
     ordered = sorted(values)
@@ -97,7 +114,7 @@ def mean_aggregate(values: Sequence[float], f: int = 0) -> AggregationResult:
         raise ValueError("cannot aggregate zero readings")
     ordered = tuple(sorted(values))
     return AggregationResult(
-        value=sum(ordered) / len(ordered),
+        value=_contained_mean(ordered),
         used=ordered,
         dropped_low=(),
         dropped_high=(),

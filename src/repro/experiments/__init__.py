@@ -14,85 +14,38 @@ and the baselines.
   Kyriakakis-style client-only aggregation with free-running GMs.
 """
 
-from repro.experiments.baselines import (
-    BaselineResult,
-    run_client_only_baseline,
-    run_full_architecture,
-    run_single_domain_baseline,
-)
-from repro.experiments.holdover import (
-    HoldoverConfig,
-    HoldoverResult,
-    run_holdover_experiment,
-)
-from repro.experiments.link_failure import (
-    LinkFailureConfig,
-    LinkFailureResult,
-    run_link_failure_experiment,
-)
-from repro.experiments.chaos import (
-    ChaosExperimentConfig,
-    ChaosResult,
-    run_chaos_experiment,
-)
-from repro.experiments.montecarlo import (
-    MonteCarloResult,
-    SeedOutcome,
-    run_monte_carlo,
-)
-from repro.experiments.sweeps import (
-    SweepRow,
-    render_rows,
-    sweep,
-    sweep_aggregation,
-    sweep_domain_count,
-    sweep_loss_rate,
-    sweep_sync_interval,
-    sweep_validity_threshold,
-)
-from repro.experiments.cyber import (
-    CyberExperimentConfig,
-    CyberResult,
-    run_cyber_experiment,
-)
-from repro.experiments.fault_injection import (
-    FaultInjectionExperimentConfig,
-    FaultInjectionResult,
-    run_fault_injection_experiment,
-)
-from repro.experiments.testbed import Testbed, TestbedConfig
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Testbed",
-    "TestbedConfig",
-    "CyberExperimentConfig",
-    "CyberResult",
-    "run_cyber_experiment",
-    "FaultInjectionExperimentConfig",
-    "FaultInjectionResult",
-    "run_fault_injection_experiment",
-    "BaselineResult",
-    "run_single_domain_baseline",
-    "run_client_only_baseline",
-    "run_full_architecture",
-    "HoldoverConfig",
-    "HoldoverResult",
-    "run_holdover_experiment",
-    "LinkFailureConfig",
-    "LinkFailureResult",
-    "run_link_failure_experiment",
-    "MonteCarloResult",
-    "SeedOutcome",
-    "run_monte_carlo",
-    "ChaosExperimentConfig",
-    "ChaosResult",
-    "run_chaos_experiment",
-    "SweepRow",
-    "render_rows",
-    "sweep",
-    "sweep_domain_count",
-    "sweep_sync_interval",
-    "sweep_aggregation",
-    "sweep_loss_rate",
-    "sweep_validity_threshold",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "testbed": ("Testbed", "TestbedConfig"),
+    "cyber": ("CyberExperimentConfig", "CyberResult", "run_cyber_experiment"),
+    "fault_injection": (
+        "FaultInjectionExperimentConfig",
+        "FaultInjectionResult",
+        "run_fault_injection_experiment",
+    ),
+    "baselines": (
+        "BaselineResult",
+        "run_single_domain_baseline",
+        "run_client_only_baseline",
+        "run_full_architecture",
+    ),
+    "holdover": ("HoldoverConfig", "HoldoverResult", "run_holdover_experiment"),
+    "link_failure": (
+        "LinkFailureConfig",
+        "LinkFailureResult",
+        "run_link_failure_experiment",
+    ),
+    "montecarlo": ("MonteCarloResult", "SeedOutcome", "run_monte_carlo"),
+    "chaos": ("ChaosExperimentConfig", "ChaosResult", "run_chaos_experiment"),
+    "sweeps": (
+        "SweepRow",
+        "render_rows",
+        "sweep",
+        "sweep_domain_count",
+        "sweep_sync_interval",
+        "sweep_aggregation",
+        "sweep_loss_rate",
+        "sweep_validity_threshold",
+    ),
+})

@@ -21,6 +21,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+# A run under a plan always builds an orchestrator (in ``Testbed``), so it
+# loads with this module rather than inside the first run.
+import repro.chaos.orchestrator  # noqa: F401
 from repro.chaos.plan import ChaosPlan, merge_plans
 from repro.faults.injector import FaultInjectionConfig, FaultInjector
 from repro.security.campaigns import AttackCampaign
@@ -31,8 +34,11 @@ from repro.monitoring.invariants import (
     InvariantViolation,
     Verdict,
 )
+from repro.parallel import config_fingerprint
 from repro.scenarios import ScenarioSpec
 from repro.sim.timebase import MINUTES, SECONDS, format_hms
+from repro.studies.core import Job, Study, StudyPlan
+from repro.studies.runner import run_study
 from repro.experiments.testbed import Testbed, TestbedConfig
 
 
@@ -317,8 +323,6 @@ def _run_chaos_job(
 
 
 def _chaos_cache_key(config: ChaosExperimentConfig) -> str:
-    from repro.parallel import config_fingerprint
-
     return config_fingerprint("chaos-study", config)
 
 
@@ -341,8 +345,6 @@ def compile_chaos_study(
     collector returns :class:`ChaosArmRow`\\ s in ``configs`` order.
     ``labels`` defaults to ``seed=N`` per arm.
     """
-    from repro.studies.core import Job, Study, StudyPlan
-
     if not configs:
         raise ValueError("chaos study needs at least one config")
     if labels is None:
@@ -397,8 +399,6 @@ def run_chaos_study(
     :func:`run_chaos_experiment` directly — this study path trades the
     rich :class:`ChaosResult` for compact, cacheable rows.
     """
-    from repro.studies.runner import run_study
-
     plan = compile_chaos_study(configs, labels=labels)
     if compile_only:
         return plan

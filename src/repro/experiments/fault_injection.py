@@ -139,12 +139,6 @@ class FaultInjectionResult:
         return "\n".join(lines)
 
 
-#: Wall-clock histogram edges, seconds (1-2-5 over eight decades).
-_WALL_S_BUCKETS = [
-    m * 10.0 ** d for d in range(-3, 5) for m in (1, 2, 5)
-]
-
-
 def run_fault_injection_experiment(
     config: Optional[FaultInjectionExperimentConfig] = None,
     testbed_config: Optional[TestbedConfig] = None,
@@ -219,6 +213,8 @@ def run_fault_injection_experiment(
     testbed.run_until(config.duration)
 
     if metrics is not None:
+        from repro.metrics.registry import WALL_S_BUCKETS
+
         testbed.publish_metrics()
         wall = time.perf_counter() - wall_start
         metrics.counter("experiment.runs").inc()
@@ -226,7 +222,7 @@ def run_fault_injection_experiment(
             testbed.sim.dispatched_events
         )
         metrics.histogram(
-            "experiment.run_wall_s", edges=_WALL_S_BUCKETS
+            "experiment.run_wall_s", edges=WALL_S_BUCKETS
         ).observe(wall)
         if wall > 0:
             metrics.gauge("experiment.events_per_sec").set(

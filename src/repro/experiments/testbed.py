@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.chaos.orchestrator import ChaosOrchestrator
-from repro.chaos.plan import ChaosPlan
+from repro.analysis.bounds_theory import predict_testbed_bounds
 from repro.core.aggregator import AggregatorConfig
 from repro.faults.transient import TransientFaultPlan
 from repro.gptp.bridge import TimeAwareBridge
@@ -44,10 +43,19 @@ from repro.measurement.probe import (
 from repro.network.nic import NicModel
 from repro.network.switch import MAX_HOPS
 from repro.network.topology import MeshModel, Topology, build_topology
+from repro.security.diversity import (
+    UNIKERNEL_STACK,
+    assign_kernels,
+    boot_delay_of,
+)
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.timebase import MICROSECONDS, MILLISECONDS, SECONDS
 from repro.sim.trace import TraceLog
+
+if TYPE_CHECKING:
+    from repro.chaos.orchestrator import ChaosOrchestrator
+    from repro.chaos.plan import ChaosPlan
 
 
 @dataclass(frozen=True)
@@ -285,12 +293,6 @@ class Testbed:
         )
 
     def _build_nodes(self) -> None:
-        from repro.security.diversity import (
-            UNIKERNEL_STACK,
-            assign_kernels,
-            boot_delay_of,
-        )
-
         cfg = self.config
         # Only devices actually hosting a domain GM need diversified
         # kernels; with M < N (fleet-scale scenarios) the remaining c{x}_1
@@ -444,6 +446,8 @@ class Testbed:
             self.probe_service.start,
         )
         if self.config.chaos is not None:
+            from repro.chaos.orchestrator import ChaosOrchestrator
+
             self.chaos = ChaosOrchestrator(
                 self.sim,
                 self.topology,
@@ -491,8 +495,6 @@ class Testbed:
         envelope sweep — sees measured and theoretical side by side.
         """
         from dataclasses import replace
-
-        from repro.analysis.bounds_theory import predict_testbed_bounds
 
         measured = derive_bounds(
             self.topology,

@@ -9,33 +9,22 @@ counters, gauges, and nanosecond histograms, then export them (plus a
 :func:`write_metrics_csv`.
 """
 
-from repro.metrics.export import (
-    load_metrics_json,
-    metrics_document,
-    write_metrics_csv,
-    write_metrics_json,
-)
-from repro.metrics.manifest import METRICS_SCHEMA_VERSION, RunManifest
-from repro.metrics.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    PPB_BUCKETS,
-    default_ns_buckets,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "PPB_BUCKETS",
-    "default_ns_buckets",
-    "RunManifest",
-    "METRICS_SCHEMA_VERSION",
-    "metrics_document",
-    "write_metrics_json",
-    "write_metrics_csv",
-    "load_metrics_json",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "registry": (
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "PPB_BUCKETS",
+        "default_ns_buckets",
+    ),
+    "manifest": ("RunManifest", "METRICS_SCHEMA_VERSION"),
+    "export": (
+        "metrics_document",
+        "write_metrics_json",
+        "write_metrics_csv",
+        "load_metrics_json",
+    ),
+})

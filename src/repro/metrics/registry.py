@@ -42,6 +42,11 @@ PPB_BUCKETS = [
     10.0, 100.0, 1e3, 1e4, 1e5, 1e6,
 ]
 
+#: Buckets for wall-clock seconds (1-2-5 over eight decades).
+WALL_S_BUCKETS = [
+    m * 10.0 ** d for d in range(-3, 5) for m in (1, 2, 5)
+]
+
 
 class Counter:
     """A monotone event counter."""

@@ -18,34 +18,23 @@ strictly serially. This package supplies the missing machinery:
 these primitives; the CLI exposes ``--workers`` / ``--no-cache``.
 """
 
-from repro.parallel.cache import (
-    QUARANTINE_DIRNAME,
-    ResultsCache,
-    cache_stats,
-    config_fingerprint,
-    prune_cache,
-    verify_store,
-)
-from repro.parallel.pool import (
-    TaskCrashError,
-    TaskFailedError,
-    TaskSpec,
-    TaskTimeoutError,
-    WorkerPool,
-    default_chunk_size,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "QUARANTINE_DIRNAME",
-    "ResultsCache",
-    "TaskCrashError",
-    "TaskFailedError",
-    "TaskSpec",
-    "TaskTimeoutError",
-    "WorkerPool",
-    "cache_stats",
-    "config_fingerprint",
-    "default_chunk_size",
-    "prune_cache",
-    "verify_store",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "cache": (
+        "QUARANTINE_DIRNAME",
+        "ResultsCache",
+        "cache_stats",
+        "config_fingerprint",
+        "prune_cache",
+        "verify_store",
+    ),
+    "pool": (
+        "TaskCrashError",
+        "TaskFailedError",
+        "TaskSpec",
+        "TaskTimeoutError",
+        "WorkerPool",
+        "default_chunk_size",
+    ),
+})

@@ -16,43 +16,27 @@ quarantine directory, :class:`RetryPolicy` (exponential backoff,
 deterministic seeded jitter), poisoned-job quarantine
 (``on_error="quarantine"``), pool→serial degradation after repeated
 spawn failures, and ledger salvage (``study resume --salvage``, in
-:mod:`repro.resilience.salvage` — imported separately to keep this
-package import-light, since the WorkerPool itself imports
-:mod:`repro.resilience.retry`).
+:mod:`repro.resilience.salvage`, which this package does not
+re-export).
 
 The acceptance bar (``tests/test_resilience_acceptance.py``): under
 randomized fault campaigns, any study that reports success must be
 byte-identical to a fault-free run. Healing never changes science.
 """
 
-from repro.resilience.faultplan import (
-    FAULT_PLAN_SCHEMA_VERSION,
-    MODES,
-    SEAMS,
-    FaultPlan,
-    FaultPoint,
-    dump_fault_plan,
-    load_fault_plan,
-    random_fault_campaign,
-)
-from repro.resilience.injector import (
-    FaultInjector,
-    InjectedCrash,
-    InjectedJobError,
-)
-from repro.resilience.retry import RetryPolicy
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FAULT_PLAN_SCHEMA_VERSION",
-    "MODES",
-    "SEAMS",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultPoint",
-    "InjectedCrash",
-    "InjectedJobError",
-    "RetryPolicy",
-    "dump_fault_plan",
-    "load_fault_plan",
-    "random_fault_campaign",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "faultplan": (
+        "FAULT_PLAN_SCHEMA_VERSION",
+        "MODES",
+        "SEAMS",
+        "FaultPlan",
+        "FaultPoint",
+        "dump_fault_plan",
+        "load_fault_plan",
+        "random_fault_campaign",
+    ),
+    "injector": ("FaultInjector", "InjectedCrash", "InjectedJobError"),
+    "retry": ("RetryPolicy",),
+})

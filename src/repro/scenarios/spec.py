@@ -20,9 +20,8 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.chaos.plan import ChaosPlan, merge_plans
 from repro.network.topology import (
     TOPOLOGY_BUILDERS,
     fat_tree_trunk_indices,
@@ -30,8 +29,11 @@ from repro.network.topology import (
     ring_of_rings_trunk_indices,
     torus_trunk_indices,
 )
-from repro.security.campaigns import AttackCampaign
 from repro.sim.timebase import MILLISECONDS
+
+if TYPE_CHECKING:
+    from repro.chaos.plan import ChaosPlan
+    from repro.security.campaigns import AttackCampaign
 
 #: Bump when the JSON document shape changes; old files fail loudly.
 SCENARIO_SCHEMA_VERSION = 1
@@ -354,9 +356,13 @@ class ScenarioSpec:
             doc["fault_plan"] = FaultPlanSpec(**plan)
         chaos = doc.get("chaos_plan")
         if isinstance(chaos, dict):
+            from repro.chaos.plan import ChaosPlan
+
             doc["chaos_plan"] = ChaosPlan.from_dict(chaos)
         campaign = doc.get("attack_campaign")
         if isinstance(campaign, dict):
+            from repro.security.campaigns import AttackCampaign
+
             doc["attack_campaign"] = AttackCampaign.from_dict(campaign)
         return cls(**doc)
 
@@ -392,6 +398,8 @@ class ScenarioSpec:
 
         chaos = self.chaos_plan
         if self.attack_campaign is not None:
+            from repro.chaos.plan import merge_plans
+
             compiled = self.attack_campaign.compile()
             chaos = compiled if chaos is None else merge_plans(chaos, compiled)
         transients = None

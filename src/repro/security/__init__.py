@@ -22,57 +22,34 @@ retargeting, Sync suppression, asymmetric delay, wormhole replay), and
 serializable multi-stage campaigns graded by the invariant monitor.
 """
 
-from repro.security.attacker import Attacker, AttackerConfig, ExploitAttempt
-from repro.security.attacks import (
-    AdaptiveAttack,
-    CollusionAttack,
-    DelayAttack,
-    OscillatingAttack,
-    RampAttack,
-    SyncSuppressionAttack,
-    WormholeAttack,
-)
-from repro.security.campaigns import (
-    CAMPAIGN_SCHEMA_VERSION,
-    AttackCampaign,
-    AttackStage,
-    colluder_campaign,
-    default_gm_names,
-    dump_campaign,
-    load_campaign,
-)
-from repro.security.diversity import assign_kernels, shared_vulnerabilities
-from repro.security.kernels import (
-    CVE_2018_18955,
-    VULNERABILITY_DB,
-    Vulnerability,
-    is_vulnerable,
-    parse_kernel_version,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Attacker",
-    "AttackerConfig",
-    "ExploitAttempt",
-    "RampAttack",
-    "OscillatingAttack",
-    "CollusionAttack",
-    "AdaptiveAttack",
-    "SyncSuppressionAttack",
-    "DelayAttack",
-    "WormholeAttack",
-    "AttackCampaign",
-    "AttackStage",
-    "CAMPAIGN_SCHEMA_VERSION",
-    "colluder_campaign",
-    "default_gm_names",
-    "load_campaign",
-    "dump_campaign",
-    "assign_kernels",
-    "shared_vulnerabilities",
-    "Vulnerability",
-    "VULNERABILITY_DB",
-    "CVE_2018_18955",
-    "is_vulnerable",
-    "parse_kernel_version",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "attacker": ("Attacker", "AttackerConfig", "ExploitAttempt"),
+    "attacks": (
+        "RampAttack",
+        "OscillatingAttack",
+        "CollusionAttack",
+        "AdaptiveAttack",
+        "SyncSuppressionAttack",
+        "DelayAttack",
+        "WormholeAttack",
+    ),
+    "campaigns": (
+        "AttackCampaign",
+        "AttackStage",
+        "CAMPAIGN_SCHEMA_VERSION",
+        "colluder_campaign",
+        "default_gm_names",
+        "load_campaign",
+        "dump_campaign",
+    ),
+    "diversity": ("assign_kernels", "shared_vulnerabilities"),
+    "kernels": (
+        "Vulnerability",
+        "VULNERABILITY_DB",
+        "CVE_2018_18955",
+        "is_vulnerable",
+        "parse_kernel_version",
+    ),
+})

@@ -14,38 +14,21 @@ CLI: ``repro study run|status|resume`` (see :mod:`repro.studies.specs`
 for the JSON study-spec format) and ``repro cache stats|prune``.
 """
 
-from repro.studies.core import Job, Study, StudyPlan
-from repro.studies.ledger import (
-    DONE,
-    FAILED,
-    PENDING,
-    QUARANTINED,
-    RUNNING,
-    JobEntry,
-    LedgerCorruptError,
-    LedgerMismatchError,
-    StudyLedger,
-)
-from repro.studies.runner import StudyInterrupted, StudyRun, run_study
-from repro.studies.specs import load_spec, plan_from_spec, validate_spec
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DONE",
-    "FAILED",
-    "PENDING",
-    "QUARANTINED",
-    "RUNNING",
-    "Job",
-    "JobEntry",
-    "LedgerCorruptError",
-    "LedgerMismatchError",
-    "Study",
-    "StudyInterrupted",
-    "StudyLedger",
-    "StudyPlan",
-    "StudyRun",
-    "load_spec",
-    "plan_from_spec",
-    "run_study",
-    "validate_spec",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "core": ("Job", "Study", "StudyPlan"),
+    "ledger": (
+        "DONE",
+        "FAILED",
+        "PENDING",
+        "QUARANTINED",
+        "RUNNING",
+        "JobEntry",
+        "LedgerCorruptError",
+        "LedgerMismatchError",
+        "StudyLedger",
+    ),
+    "runner": ("StudyInterrupted", "StudyRun", "run_study"),
+    "specs": ("load_spec", "plan_from_spec", "validate_spec"),
+})

@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.parallel import TaskSpec, WorkerPool, default_chunk_size
+from repro.metrics.registry import WALL_S_BUCKETS
 from repro.resilience.retry import RetryPolicy
 from repro.studies.core import Job, Study
 from repro.studies.ledger import (
@@ -92,12 +92,6 @@ def _run_job_chunk(jobs: List[Job]) -> List[Any]:
     """Worker task: run a chunk of jobs in order. Module-level so it
     pickles under ``spawn``; only compact results cross back."""
     return [job.run() for job in jobs]
-
-
-def _wall_buckets():
-    from repro.experiments.fault_injection import _WALL_S_BUCKETS
-
-    return _WALL_S_BUCKETS
 
 
 def run_study(
@@ -247,7 +241,7 @@ def _run_serial(study, to_run, run, metrics, ledger, store, record_done,
     arm_hist = None
     if metrics is not None:
         arm_hist = metrics.histogram(
-            f"{study.metrics_prefix}.arm_seconds", edges=_wall_buckets()
+            f"{study.metrics_prefix}.arm_seconds", edges=WALL_S_BUCKETS
         )
     policy = retry_policy or RetryPolicy(max_attempts=1)
     for position, job in enumerate(to_run):
@@ -294,6 +288,8 @@ def _run_serial(study, to_run, run, metrics, ledger, store, record_done,
 def _run_process(study, to_run, run, max_workers, task_timeout, metrics,
                  ledger, store, record_done, emit, on_error, faults,
                  retry_policy) -> None:
+    from repro.parallel import TaskSpec, WorkerPool, default_chunk_size
+
     workers = max_workers or WorkerPool().max_workers
     chunk = default_chunk_size(len(to_run), workers)
     chunks: List[List[Job]] = [
@@ -321,7 +317,7 @@ def _run_process(study, to_run, run, max_workers, task_timeout, metrics,
     run.pool_degraded = run.pool_degraded or pool.degraded
     if metrics is not None:
         chunk_hist = metrics.histogram(
-            f"{study.metrics_prefix}.chunk_seconds", edges=_wall_buckets()
+            f"{study.metrics_prefix}.chunk_seconds", edges=WALL_S_BUCKETS
         )
         for seconds in pool.task_seconds:
             chunk_hist.observe(seconds)

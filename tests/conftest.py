@@ -10,9 +10,24 @@ to run the full suite:
 
 Every test not marked ``slow`` is automatically tagged ``fast``, so the
 fast tier can also be selected explicitly with ``-m fast``.
+
+Hypothesis runs under one of two profiles, chosen by ``HYPOTHESIS_PROFILE``:
+
+* ``tier1`` (default) — derandomized and without an example database, so
+  every run draws the same examples and a failure found once is not
+  replayed from a local ``.hypothesis/`` store;
+* ``nightly`` — random examples, five times as many where a test does not
+  fix its own count; the nightly full-suite job selects it.
 """
 
+import os
+
 import pytest
+from hypothesis import settings
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("nightly", max_examples=500)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 
 def pytest_addoption(parser):

@@ -50,6 +50,12 @@ class TestFaultTolerantAverage:
     def test_f0_is_plain_mean(self):
         assert fault_tolerant_average([1.0, 2.0, 9.0], f=0).value == 4.0
 
+    def test_rounding_stays_inside_used_readings(self):
+        # sum / len of three copies gives 699051.5243092797, one ulp above.
+        offset = 699051.5243092796
+        for f in (0, 1):
+            assert fault_tolerant_average([offset] * 3, f).value == offset
+
     @given(st.lists(finite_floats, min_size=1, max_size=12), st.integers(0, 4))
     def test_value_within_input_range(self, values, f):
         r = fault_tolerant_average(values, f)
@@ -85,6 +91,14 @@ class TestAlternativeAggregates:
     def test_midpoint(self):
         r = fault_tolerant_midpoint([0.0, 2.0, 10.0, 100.0], f=1)
         assert r.value == 6.0  # (2 + 10) / 2
+
+    def test_midpoint_negative_f_rejected(self):
+        with pytest.raises(ValueError):
+            fault_tolerant_midpoint([1.0, 2.0], f=-1)
+
+    def test_mean_rounding_stays_inside_readings(self):
+        offset = 699051.5243092796
+        assert mean_aggregate([offset] * 3).value == offset
 
     def test_mean_has_no_byzantine_tolerance(self):
         r = mean_aggregate([0.0, 0.0, 0.0, 1e9])

@@ -22,7 +22,26 @@ PACKAGES = [
     "repro.measurement",
     "repro.analysis",
     "repro.experiments",
+    "repro.chaos",
+    "repro.metrics",
+    "repro.monitoring",
+    "repro.parallel",
+    "repro.resilience",
+    "repro.scenarios",
+    "repro.studies",
     "repro.cli",
+]
+
+#: Packages whose public names load on first use (``repro._lazy``).
+LAZY_PACKAGES = [
+    "repro.analysis",
+    "repro.chaos",
+    "repro.experiments",
+    "repro.metrics",
+    "repro.parallel",
+    "repro.resilience",
+    "repro.security",
+    "repro.studies",
 ]
 
 
@@ -37,6 +56,30 @@ class TestPackages:
         module = importlib.import_module(name)
         for symbol in getattr(module, "__all__", []):
             assert hasattr(module, symbol), f"{name}.{symbol} missing"
+
+
+class TestLazyExports:
+    @pytest.mark.parametrize("name", LAZY_PACKAGES)
+    def test_dir_lists_every_export(self, name):
+        module = importlib.import_module(name)
+        assert set(module.__all__) <= set(dir(module))
+
+    @pytest.mark.parametrize("name", LAZY_PACKAGES)
+    def test_unknown_name_is_an_attribute_error(self, name):
+        module = importlib.import_module(name)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
+
+    def test_export_named_like_its_submodule_wins(self):
+        import repro.analysis
+
+        submodule = importlib.import_module("repro.analysis.histogram")
+        assert repro.analysis.histogram is submodule.histogram
+
+    def test_submodules_still_import_through_the_package(self):
+        from repro.experiments import sweeps
+
+        assert sweeps.sweep is importlib.import_module("repro.experiments").sweep
 
 
 class TestReadmeSnippets:
