@@ -99,10 +99,6 @@ class HardwareClock:
         return to_ppb(self._trim)
 
     # ------------------------------------------------------------------
-    def _value_now(self) -> float:
-        osc = self.oscillator.read()
-        return self._anchor_value + (osc - self._anchor_osc) * (1.0 + self._trim)
-
     def _rebase(self) -> None:
         """Fold elapsed time into the anchor before changing parameters."""
         osc = self.oscillator.read()

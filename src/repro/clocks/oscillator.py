@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import cos as _cos, log as _log, sin as _sin, sqrt as _sqrt
 
 from repro.sim.kernel import Simulator
+from repro.sim.rng import HAS_GAUSS_NEXT, TWOPI
 from repro.sim.timebase import MILLISECONDS, from_ppm
 
 
@@ -73,13 +75,13 @@ class Oscillator:
         self._wander = 0.0
         self._last_true = sim.now
         self._elapsed = 0.0
-        self._rate = self._clamped_rate()  # cached; refreshed on wander steps
+        # Clamped rate, cached; refreshed on wander steps.
+        self._rate = max(-max_frac, min(max_frac, self._base + self._wander))
         # _advance() runs on every clock read; precompute the model-derived
-        # constants and bind the RNG method once instead of per call.
+        # constants once instead of per call.
         self._step_sigma = from_ppm(model.wander_step_ppm)
         self._interval = model.wander_interval
         self._bound = max_frac
-        self._gauss = rng.gauss
         # Next wander boundary strictly after _last_true, so the common
         # within-segment read is a single comparison. With wander disabled
         # there is no boundary at all.
@@ -101,10 +103,6 @@ class Oscillator:
         return self._elapsed
 
     # ------------------------------------------------------------------
-    def _clamped_rate(self) -> float:
-        max_frac = from_ppm(self.model.max_rate_ppm)
-        return max(-max_frac, min(max_frac, self._base + self._wander))
-
     def _advance(self) -> None:
         """Integrate elapsed local time up to the simulator's now.
 
@@ -122,28 +120,67 @@ class Oscillator:
         # as an invariant: smallest boundary strictly after _last_true) is
         # still ahead, so the whole span is one constant-rate segment. With
         # wander disabled the boundary is +inf and this is the only path.
-        if now < self._next_boundary:
+        boundary = self._next_boundary
+        if now < boundary:
             self._elapsed += (now - last) * (1.0 + self._rate)
             self._last_true = now
             return
-        step_sigma = self._step_sigma
+        # Replay every boundary up to now, one wander step each. After a
+        # fast-forward jump that is hundreds of steps, so the loop keeps
+        # its state in locals, inlines rng.gauss(0.0, sigma) (Box–Muller,
+        # as Nic.timestamp does, with the stream's cached second variate
+        # held in ``spare`` until the loop ends) and clamps with
+        # comparisons that pick the same operand max/min would. Draws and
+        # float operations keep the order of a step-at-a-time walk.
+        rng = self.rng
+        rand = rng.random
+        sigma = self._step_sigma
         interval = self._interval
         bound = self._bound
-        gauss = self._gauss
+        nbound = -bound
+        base = self._base
+        elapsed = self._elapsed
+        wander = self._wander
+        rate = self._rate
+        spare = rng.gauss_next if HAS_GAUSS_NEXT else None
         t = last
-        while t < now:
-            # Next wander boundary strictly after t.
-            boundary = ((t // interval) + 1) * interval
-            segment_end = boundary if boundary < now else now
-            self._elapsed += (segment_end - t) * (1.0 + self._rate)
-            t = segment_end
-            if t == boundary:
-                self._wander += gauss(0.0, step_sigma)
-                # Keep the walk itself bounded so it cannot saturate forever.
-                self._wander = max(-bound, min(bound, self._wander))
-                self._rate = self._clamped_rate()
+        while boundary <= now:
+            elapsed += (boundary - t) * (1.0 + rate)
+            t = boundary
+            boundary += interval
+            # gauss() returns 0.0 + z * sigma. Dropping the 0.0 can only
+            # change the sign of a zero sum, which needs wander to be -0.0;
+            # only a zero bound makes it so, and its clamp then overwrites
+            # the sum.
+            if not HAS_GAUSS_NEXT:
+                wander += rng.gauss(0.0, sigma)
+            elif spare is None:
+                x2pi = rand() * TWOPI
+                g2rad = _sqrt(-2.0 * _log(1.0 - rand()))
+                wander += _cos(x2pi) * g2rad * sigma
+                spare = _sin(x2pi) * g2rad
+            else:
+                wander += spare * sigma
+                spare = None
+            # Keep the walk itself bounded so it cannot saturate forever.
+            if not wander < bound:
+                wander = bound
+            if not wander > nbound:
+                wander = nbound
+            rate = base + wander
+            if not rate < bound:
+                rate = bound
+            if not rate > nbound:
+                rate = nbound
+        if HAS_GAUSS_NEXT:
+            rng.gauss_next = spare
+        if t != now:
+            elapsed += (now - t) * (1.0 + rate)
+        self._elapsed = elapsed
+        self._wander = wander
+        self._rate = rate
         self._last_true = now
-        self._next_boundary = (now // interval + 1) * interval
+        self._next_boundary = boundary
 
     def __repr__(self) -> str:
         return (

@@ -23,19 +23,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import cos as _cos, log as _log, pi as _pi, sin as _sin, sqrt as _sqrt
+from math import cos as _cos, log as _log, sin as _sin, sqrt as _sqrt
 from typing import Callable, Dict, List, Optional
-
-#: See :mod:`repro.network.nic` — constants for the inlined ``random.gauss``
-#: draw in :meth:`TsnSwitch.timestamp`, with an import-time fallback guard.
-_TWOPI = 2.0 * _pi
-_HAS_GAUSS_NEXT = hasattr(random.Random(0), "gauss_next")
 
 from repro.clocks.hardware_clock import HardwareClock
 from repro.clocks.oscillator import Oscillator, OscillatorModel
 from repro.network.packet import GPTP_MULTICAST, Packet
 from repro.network.port import Port
 from repro.sim.kernel import Simulator
+from repro.sim.rng import HAS_GAUSS_NEXT, TWOPI
 from repro.sim.trace import TraceLog
 
 #: Defensive bound on switch traversals per packet.
@@ -95,9 +91,7 @@ class TsnSwitch:
         self.dropped_hop_limit = 0
         self.forwarded = 0
         # Hot-path bindings: ingress timestamping and store-and-forward run
-        # per packet; bind the RNG methods and model scalars once.
-        self._gauss = rng.gauss
-        self._randint = rng.randint
+        # per packet; bind the RNG method and model scalars once.
         self._getrandbits = rng.getrandbits
         self._post = sim.post
         self._clock_time = self.clock.time
@@ -147,20 +141,20 @@ class TsnSwitch:
             # Draw the noise before reading the clock: the PHC read may
             # advance oscillator wander on the same RNG stream, and the
             # draw interleaving is part of the deterministic schedule.
-            if _HAS_GAUSS_NEXT:
+            if HAS_GAUSS_NEXT:
                 # Inline of rng.gauss(0.0, jitter): Box–Muller with the
                 # cached second variate, identical draws on the same state.
                 rng = self.rng
                 z = rng.gauss_next
                 rng.gauss_next = None
                 if z is None:
-                    x2pi = rng.random() * _TWOPI
+                    x2pi = rng.random() * TWOPI
                     g2rad = _sqrt(-2.0 * _log(1.0 - rng.random()))
                     z = _cos(x2pi) * g2rad
                     rng.gauss_next = _sin(x2pi) * g2rad
                 noise = z * jitter
             else:
-                noise = self._gauss(0.0, jitter)
+                noise = self.rng.gauss(0.0, jitter)
             return round(self._clock_time() + noise)
         return self._clock_time()
 
