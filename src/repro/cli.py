@@ -471,6 +471,23 @@ def _write_metrics(args: argparse.Namespace, registry, manifest=None) -> None:
     print(f"metrics written to {args.metrics}", file=sys.stderr)
 
 
+class _SweepStudies:
+    """``sweep`` study names: the canned axes, then ``envelope``.
+
+    Read from :data:`repro.experiments.sweeps.SWEEP_AXES` only when
+    argparse checks a value or renders ``sweep --help``, so building the
+    parser loads no simulation code.
+    """
+
+    def __iter__(self):
+        from repro.experiments.sweeps import SWEEP_AXES
+
+        return iter([*SWEEP_AXES, "envelope"])
+
+    def __contains__(self, name: object) -> bool:
+        return name in list(self)
+
+
 def _nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -505,12 +522,7 @@ def _cmd_sweep_envelope(args: argparse.Namespace) -> int:
     from repro.sim.timebase import SECONDS
 
     registry = _metrics_registry(args)
-    if args.sim_seconds is not None and args.duration is not None:
-        print("use --sim-seconds or --duration, not both", file=sys.stderr)
-        return 2
-    duration_s = (args.sim_seconds if args.sim_seconds is not None
-                  else args.duration)
-    duration = round((duration_s if duration_s is not None else 120.0)
+    duration = round((args.duration if args.duration is not None else 120.0)
                      * SECONDS)
     kwargs: Dict[str, Any] = {}
     exec_kwargs = _executor_kwargs(args)
@@ -590,50 +602,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.study == "envelope":
         return _cmd_sweep_envelope(args)
     from repro.experiments.sweeps import (
+        SWEEP_AXES,
+        axis_duration,
         breaking_point,
         render_rows,
-        sweep_aggregation,
-        sweep_attack_budget,
-        sweep_domain_count,
-        sweep_fault_budget,
-        sweep_hop_count,
-        sweep_loss_rate,
-        sweep_sync_interval,
-        sweep_topology,
-        sweep_validity_threshold,
     )
     from repro.monitoring import worst_status
     from repro.sim.timebase import SECONDS
 
-    runners = {
-        "domains": sweep_domain_count,
-        "interval": sweep_sync_interval,
-        "aggregation": sweep_aggregation,
-        "threshold": sweep_validity_threshold,
-        "topology": sweep_topology,
-        "hopcount": sweep_hop_count,
-        "faultbudget": sweep_fault_budget,
-        "lossrate": sweep_loss_rate,
-        "attackbudget": sweep_attack_budget,
-    }
     spec = _scenario_of(args)
     registry = _metrics_registry(args)
-    if args.sim_seconds is not None and args.duration is not None:
-        print("use --sim-seconds or --duration, not both", file=sys.stderr)
-        return 2
-    duration_s = (args.sim_seconds if args.sim_seconds is not None
-                  else args.duration)
-    if duration_s is None:
-        # The attackbudget FAIL needs minutes of differential-bias
-        # integration (k=2 on the paper mesh breaks the bound at
-        # t ≈ 800 s); the other canned studies measure steady state.
-        duration_s = 900.0 if args.study == "attackbudget" else 120.0
-    duration = round(duration_s * SECONDS)
+    run_kwargs = _executor_kwargs(args)
+    if args.duration is not None:
+        run_kwargs["duration"] = round(args.duration * SECONDS)
+    duration = run_kwargs.get("duration", axis_duration(args.study))
     wall_start = time.perf_counter()
-    exec_kwargs = _executor_kwargs(args)
-    rows = runners[args.study](
-        seed=args.seed, duration=duration, scenario=spec,
-        metrics=registry, fidelity=args.fidelity, **exec_kwargs,
+    rows = SWEEP_AXES[args.study](
+        seed=args.seed, scenario=spec, metrics=registry,
+        fidelity=args.fidelity, **run_kwargs,
     )
     budget = None
     if args.study == "attackbudget":
@@ -678,8 +664,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     )
                 ),
                 cache_disabled=bool(
-                    exec_kwargs.get("cache") is not None
-                    and exec_kwargs["cache"].disabled
+                    run_kwargs.get("cache") is not None
+                    and run_kwargs["cache"].disabled
                 ),
                 **({"fidelity": args.fidelity}
                    if args.fidelity != "full" else {}),
@@ -921,8 +907,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
         _emit(
             args,
             f"verified {summary['scanned']} entries at {args.cache_dir!r}: "
-            f"{summary['ok']} ok, {summary['legacy']} legacy (no checksum), "
-            f"{summary['quarantined']} quarantined",
+            f"{summary['ok']} ok, {summary['quarantined']} quarantined",
             dict(summary, root=args.cache_dir),
         )
         return 1 if summary["quarantined"] else 0
@@ -1254,10 +1239,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "study with a partial verdict")
 
     p = sub.add_parser("sweep", help="design-space parameter sweeps")
-    p.add_argument("study", choices=["domains", "interval", "aggregation",
-                                     "threshold", "topology", "hopcount",
-                                     "faultbudget", "lossrate",
-                                     "attackbudget", "envelope"])
+    p.add_argument("study", metavar="STUDY", choices=_SweepStudies(),
+                   help="one of: %(choices)s")
     p.add_argument("--seed", type=int, default=9)
     p.add_argument("--duration", type=float, default=None,
                    help="seconds of simulated time per point (default: "
@@ -1265,11 +1248,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "that breaks the bound integrates for minutes — "
                         "120 otherwise; for 'envelope' this sets the clean "
                         "arms only, the adversarial arm keeps its 900 s)")
-    p.add_argument("--sim-seconds", type=float, default=None, metavar="S",
-                   help="override the per-arm simulated duration (same as "
-                        "--duration; the 900 s attackbudget default is "
-                        "intractable on large topologies — e.g. "
-                        "'sweep attackbudget --sim-seconds 60')")
     add_scenario_flag(p)
     add_fidelity_flag(p)
     add_executor_flags(p)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from math import cos as _cos, log as _log, sin as _sin, sqrt as _sqrt
 
 from repro.sim.kernel import Simulator
-from repro.sim.rng import HAS_GAUSS_NEXT, TWOPI
+from repro.sim.rng import TWOPI
 from repro.sim.timebase import MILLISECONDS, from_ppm
 
 
@@ -142,7 +142,7 @@ class Oscillator:
         elapsed = self._elapsed
         wander = self._wander
         rate = self._rate
-        spare = rng.gauss_next if HAS_GAUSS_NEXT else None
+        spare = rng.gauss_next
         t = last
         while boundary <= now:
             elapsed += (boundary - t) * (1.0 + rate)
@@ -152,9 +152,7 @@ class Oscillator:
             # change the sign of a zero sum, which needs wander to be -0.0;
             # only a zero bound makes it so, and its clamp then overwrites
             # the sum.
-            if not HAS_GAUSS_NEXT:
-                wander += rng.gauss(0.0, sigma)
-            elif spare is None:
+            if spare is None:
                 x2pi = rand() * TWOPI
                 g2rad = _sqrt(-2.0 * _log(1.0 - rand()))
                 wander += _cos(x2pi) * g2rad * sigma
@@ -172,8 +170,7 @@ class Oscillator:
                 rate = bound
             if not rate > nbound:
                 rate = nbound
-        if HAS_GAUSS_NEXT:
-            rng.gauss_next = spare
+        rng.gauss_next = spare
         if t != now:
             elapsed += (now - t) * (1.0 + rate)
         self._elapsed = elapsed

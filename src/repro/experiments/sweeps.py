@@ -10,6 +10,7 @@ CLI's ``sweep`` command print the assembled table.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -88,6 +89,11 @@ def _measure(testbed: Testbed, duration: int, warmup_records: int) -> SweepRow:
     )
 
 
+#: Default simulated time per sweep arm: long enough to measure the
+#: converged steady state.
+SWEEP_DURATION = 2 * MINUTES
+
+
 def _run_sweep_point(
     config: TestbedConfig, duration: int, warmup_records: int, metrics=None,
     fidelity: str = "full",
@@ -109,17 +115,6 @@ def _run_sweep_point(
     return row
 
 
-def _sweep_cache_key(config: TestbedConfig, duration: int,
-                     warmup_records: int, fidelity: str = "full") -> str:
-    # Full-fidelity keys keep their historical shape so caches populated
-    # before the fidelity axis existed remain valid.
-    if fidelity == "full":
-        return config_fingerprint("sweep", config, duration, warmup_records)
-    return config_fingerprint(
-        "sweep", config, duration, warmup_records, fidelity
-    )
-
-
 def _summarize_row(row: SweepRow) -> Dict[str, Any]:
     """Ledger/progress info line for one sweep arm."""
     return {
@@ -133,15 +128,15 @@ def compile_sweep(
     parameter: str,
     values: Sequence[Any],
     make_config: Callable[[Any], TestbedConfig],
-    duration: int = 2 * MINUTES,
+    duration: int = SWEEP_DURATION,
     warmup_records: int = 30,
     fidelity: str = "full",
 ) -> StudyPlan:
     """Compile a sweep into the study pipeline: one job per arm.
 
-    Job keys are the historical sweep cache keys, so caches populated
-    before the pipeline refactor keep hitting; the collector restores
-    the ``values``-ordered row list with parameter/value labels.
+    Each job's key covers the arm's configuration, duration, warm-up and
+    fidelity; the collector restores the ``values``-ordered row list with
+    parameter/value labels.
     """
     if not values:
         raise ValueError("sweep needs at least one value")
@@ -150,7 +145,9 @@ def compile_sweep(
     configs = [make_config(value) for value in values]
     jobs = tuple(
         Job(
-            key=_sweep_cache_key(config, duration, warmup_records, fidelity),
+            key=config_fingerprint(
+                "sweep", config, duration, warmup_records, fidelity
+            ),
             fn=_run_sweep_point,
             args=(config, duration, warmup_records),
             kwargs={"fidelity": fidelity},
@@ -183,7 +180,7 @@ def sweep(
     parameter: str,
     values: Sequence[Any],
     make_config: Callable[[Any], TestbedConfig],
-    duration: int = 2 * MINUTES,
+    duration: int = SWEEP_DURATION,
     warmup_records: int = 30,
     executor: str = "serial",
     max_workers: Optional[int] = None,
@@ -245,7 +242,10 @@ def _base_config(scenario, seed: int) -> TestbedConfig:
 def sweep_domain_count(
     values: Sequence[int] = (4, 5, 6), seed: int = 9, scenario=None, **kwargs
 ) -> List[SweepRow]:
-    """u(N, f) tightens the bound as domains are added."""
+    """u(N, f) tightens the bound as domains are added.
+
+    ``values`` are device counts, one domain per device.
+    """
     base = _base_config(scenario, seed)
     return sweep(
         "n_domains",
@@ -256,14 +256,17 @@ def sweep_domain_count(
 
 
 def sweep_sync_interval(
-    values_ms: Sequence[float] = (62.5, 125.0, 250.0), seed: int = 9,
+    values: Sequence[float] = (62.5, 125.0, 250.0), seed: int = 9,
     scenario=None, **kwargs
 ) -> List[SweepRow]:
-    """Γ = 2·r_max·S scales the bound with the interval."""
+    """Γ = 2·r_max·S scales the bound with the interval.
+
+    ``values`` are Sync intervals in milliseconds.
+    """
     base = _base_config(scenario, seed)
     return sweep(
         "sync_interval_ms",
-        values_ms,
+        values,
         lambda ms: replace(
             base,
             sync_interval=round(ms * MILLISECONDS),
@@ -281,7 +284,10 @@ def sweep_aggregation(
     scenario=None,
     **kwargs,
 ) -> List[SweepRow]:
-    """Fault-free steady state is similar across aggregation functions."""
+    """Fault-free steady state is similar across aggregation functions.
+
+    ``values`` are aggregation function names.
+    """
     base = _base_config(scenario, seed)
     return sweep(
         "aggregation",
@@ -294,17 +300,20 @@ def sweep_aggregation(
 
 
 def sweep_validity_threshold(
-    values_us: Sequence[float] = (1.0, 5.0, 20.0), seed: int = 9,
+    values: Sequence[float] = (1.0, 5.0, 20.0), seed: int = 9,
     scenario=None, **kwargs
 ) -> List[SweepRow]:
     """Validity threshold: too tight rejects honest spread, too loose lets
-    outliers in; steady state should tolerate the whole sensible range."""
+    outliers in; steady state should tolerate the whole sensible range.
+
+    ``values`` are thresholds in microseconds.
+    """
     from repro.core.validity import ValidityConfig
 
     base = _base_config(scenario, seed)
     return sweep(
         "validity_threshold_us",
-        values_us,
+        values,
         lambda us: replace(
             base,
             aggregator=replace(
@@ -327,9 +336,9 @@ def sweep_topology(
 ) -> List[SweepRow]:
     """Same N/M/f across shapes: E (the delay spread) drives the bound.
 
-    The mesh keeps every VM one trunk hop from its GM; ring/line/star
-    stretch some domain trees over multiple trunks, widening [d_min, d_max]
-    and with it Π = u(N, f)·(E + Γ).
+    ``values`` are topology kinds. The mesh keeps every VM one trunk hop
+    from its GM; ring/line/star stretch some domain trees over multiple
+    trunks, widening [d_min, d_max] and with it Π = u(N, f)·(E + Γ).
     """
     base = _base_config(scenario, seed)
     return sweep(
@@ -367,14 +376,15 @@ def sweep_fault_budget(
 ) -> List[SweepRow]:
     """FTA masking budget: (f, M) points at M = 3f+1 (tight) and 3f+2.
 
-    u(N, f) = (N − 2f)/(N − 3f) blows up as M approaches the 3f+1 floor,
-    so the tight arms should show visibly looser bounds than their
-    M = 3f+2 neighbours.
+    ``values`` are ``(f, M)`` pairs: the fault budget and the domain (and
+    device) count. u(N, f) = (N − 2f)/(N − 3f) blows up as M approaches
+    the 3f+1 floor, so the tight arms should show visibly looser bounds
+    than their M = 3f+2 neighbours.
     """
     base = _base_config(scenario, seed)
     return sweep(
         "(f, M)",
-        list(values),
+        [tuple(fm) for fm in values],
         lambda fm: replace(
             base,
             n_devices=fm[1],
@@ -393,6 +403,8 @@ def sweep_loss_rate(
     **kwargs,
 ) -> List[SweepRow]:
     """Per-link Bernoulli loss on every trunk vs. achieved precision.
+
+    ``values`` are loss probabilities per frame, from 0 to 1.
 
     gPTP's per-interval Sync/FollowUp pairs mean a lost frame only delays
     the next correction by one interval; the FTA then masks domains whose
@@ -423,7 +435,8 @@ def sweep_attack_budget(
 ) -> List[SweepRow]:
     """Breaking point: colluding in-window GMs vs. the monitor's verdict.
 
-    Each arm compromises ``k`` grandmasters with the worst-case adversary
+    ``values`` are colluder counts k. Each arm compromises ``k``
+    grandmasters with the worst-case adversary
     (:func:`repro.security.campaigns.colluder_campaign`: a common constant
     shift at ``margin`` of the validity window, so the bloc is never
     invalidated and only the FTA trim can mask it). For ``k <= f`` the
@@ -466,6 +479,29 @@ def sweep_attack_budget(
         return replace(base, chaos=plan)
 
     return sweep("colluders", values, cfg, duration=duration, **kwargs)
+
+
+#: The canned single-axis sweeps by name: the CLI's ``sweep STUDY`` and a
+#: study spec's ``study`` field. Each takes ``values`` (its axis points),
+#: ``seed`` and ``scenario`` plus :func:`sweep`'s options.
+SWEEP_AXES: Dict[str, Callable[..., List[SweepRow]]] = {
+    "domains": sweep_domain_count,
+    "interval": sweep_sync_interval,
+    "aggregation": sweep_aggregation,
+    "threshold": sweep_validity_threshold,
+    "topology": sweep_topology,
+    "hopcount": sweep_hop_count,
+    "faultbudget": sweep_fault_budget,
+    "lossrate": sweep_loss_rate,
+    "attackbudget": sweep_attack_budget,
+}
+
+
+def axis_duration(axis: str) -> int:
+    """Simulated ns per arm that the canned sweep ``axis`` runs by default:
+    its own ``duration`` default, else :func:`sweep`'s."""
+    own = inspect.signature(SWEEP_AXES[axis]).parameters.get("duration")
+    return SWEEP_DURATION if own is None else own.default
 
 
 def breaking_point(rows: Sequence[SweepRow]) -> Dict[str, Optional[int]]:

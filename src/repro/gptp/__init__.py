@@ -16,17 +16,16 @@ architecture exercises, shaped after LinuxPTP:
 * the LinuxPTP PI servo with its interval-scaled gains
   (:mod:`repro.gptp.servo`);
 * phc2sys — the PHC → ``CLOCK_SYNCTIME`` parameter publisher
-  (:mod:`repro.gptp.phc2sys`);
-* BMCA (:mod:`repro.gptp.bmca`) — implemented for completeness; the paper
-  disables it via external port configuration (§III-A1), and so do the
-  experiments.
+  (:mod:`repro.gptp.phc2sys`).
+
+There is no BMCA: as in the paper (§III-A1), port roles are configured
+externally, so a grandmaster is fixed when its instance is created.
 """
 
 from repro.gptp.bridge import TimeAwareBridge
 from repro.gptp.domain import DomainConfig
 from repro.gptp.instance import GptpStack, OffsetSample, OffsetSink, Ptp4lInstance
 from repro.gptp.messages import (
-    Announce,
     FollowUp,
     PdelayReq,
     PdelayResp,
@@ -46,7 +45,6 @@ __all__ = [
     "Ptp4lInstance",
     "Sync",
     "FollowUp",
-    "Announce",
     "PdelayReq",
     "PdelayResp",
     "PdelayRespFollowUp",

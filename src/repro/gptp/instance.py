@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Protocol
+from typing import Dict, Optional, Protocol
 
 from repro.clocks.hardware_clock import HardwareClock
 from repro.gptp.domain import DomainConfig
 from repro.gptp.messages import (
-    Announce,
     FollowUp,
     PdelayReq,
     PdelayResp,
@@ -111,24 +110,20 @@ class Ptp4lInstance:
         self._seq = 0
         self._last_launch: Optional[int] = None
         self._pending_sync: Dict[int, int] = {}  # seq -> rx_ts
-        self._running = False
         # Hot-path bindings: one timeout post per received Sync.
         self._post = sim.post
         self._follow_up_timeout = config.follow_up_timeout
+        # Port roles are configured externally (§III-A1): a GM stays GM.
         self._gm_task: Optional[PeriodicTask] = None
         if is_gm:
-            self._ensure_gm_task()
-
-    def _ensure_gm_task(self) -> None:
-        if self._gm_task is None:
             self._gm_task = PeriodicTask(
-                self.sim,
-                period=self.config.sync_interval,
+                sim,
+                period=config.sync_interval,
                 action=self._enqueue_sync,
                 phase=self.LAUNCH_LEAD,
-                jitter=self.config.sync_interval // 50,
-                rng=self.rng,
-                name=f"gm.{self.transport.name}.dom{self.config.number}",
+                jitter=config.sync_interval // 50,
+                rng=rng,
+                name=f"gm.{transport.name}.dom{config.number}",
             )
 
     # ------------------------------------------------------------------
@@ -136,38 +131,14 @@ class Ptp4lInstance:
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Begin operation (GM transmit loop, if any)."""
-        self._running = True
-        if self.is_gm:
-            self._ensure_gm_task()
-            if not self._gm_task.running:
-                self._gm_task.start()
+        if self._gm_task is not None and not self._gm_task.running:
+            self._gm_task.start()
 
     def stop(self) -> None:
         """Halt operation and drop matching state (VM failure/reboot)."""
-        self._running = False
         if self._gm_task is not None:
             self._gm_task.stop()
         self._pending_sync.clear()
-
-    def set_master(self, is_master: bool) -> None:
-        """Switch the port role at runtime (BMCA-driven deployments).
-
-        The paper's experiments use external port configuration (static
-        roles); this hook lets the BMCA extension promote/demote an end
-        station when elections change.
-        """
-        if is_master == self.is_gm:
-            return
-        self.is_gm = is_master
-        if is_master:
-            self._pending_sync.clear()
-            if self._running:
-                self._ensure_gm_task()
-                if not self._gm_task.running:
-                    self._gm_task.start()
-        else:
-            if self._gm_task is not None and self._gm_task.running:
-                self._gm_task.stop()
 
     # ------------------------------------------------------------------
     # Grandmaster transmit path
@@ -286,7 +257,6 @@ class GptpStack:
         self.pdelay_responder = PdelayResponder(self.transport)
         self.pdelay_initiator = PdelayInitiator(sim, self.transport, rng)
         self.instances: Dict[int, Ptp4lInstance] = {}
-        self.announce_handler: Optional[Callable[[Announce, int], None]] = None
         self._started = False
         nic.attach_rx_handler(self._on_rx)
 
@@ -359,9 +329,6 @@ class GptpStack:
         elif isinstance(message, PdelayRespFollowUp):
             if message.requester == self.transport.name:
                 self.pdelay_initiator.on_response_follow_up(message)
-        elif isinstance(message, Announce):
-            if self.announce_handler is not None:
-                self.announce_handler(message, rx_ts)
 
     def __repr__(self) -> str:
         return f"GptpStack({self.nic.name!r}, domains={sorted(self.instances)})"

@@ -96,19 +96,3 @@ class PdelayRespFollowUp:
     responder: str
     response_origin_timestamp: int
 
-
-@dataclass(frozen=True, **SLOTTED)
-class Announce:
-    """Announce message (used only by the BMCA extension).
-
-    Field order mirrors the 802.1AS priority vector comparison.
-    """
-
-    domain: int
-    gm_identity: str
-    priority1: int
-    clock_class: int
-    clock_accuracy: int
-    variance: int
-    priority2: int
-    steps_removed: int

@@ -1,9 +1,10 @@
 """Transport adapters binding gPTP logic to NICs and switch ports.
 
 The protocol modules (pdelay, instances, bridge) are written against the
-small :class:`GptpTransport` interface — hardware timestamping plus
-link-local transmission — so the same code runs on an end-station NIC and on
-each port of a time-aware switch.
+small :class:`GptpTransport` interface — link-local transmission with a
+hardware transmit timestamp delivered by callback — so the same code runs on
+an end-station NIC and on each port of a time-aware switch. Receive
+timestamps arrive with each frame on the receive path.
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ class GptpTransport(Protocol):
 
     name: str
 
-    def timestamp(self) -> int:
-        """Read the local PTP hardware clock (with timestamp noise)."""
-        ...
-
     def send(
         self,
         message: Any,
@@ -41,9 +38,6 @@ class NicTransport:
     def __init__(self, nic: Nic) -> None:
         self.nic = nic
         self.name = nic.name
-
-    def timestamp(self) -> int:
-        return self.nic.timestamp()
 
     def send(
         self,
@@ -69,9 +63,6 @@ class SwitchPortTransport:
         self.port = port
         self.name = port.full_name
         self.tx_timestamp_latency = tx_timestamp_latency
-
-    def timestamp(self) -> int:
-        return self.switch.timestamp()
 
     def send(
         self,

@@ -96,10 +96,6 @@ class PrecisionProbeService:
         """Begin probing."""
         self._task.start()
 
-    def stop(self) -> None:
-        """Halt probing."""
-        self._task.stop()
-
     def _send_probe(self) -> None:
         if not self.vm.running:
             return  # measurement VM down: a gap in the series

@@ -91,7 +91,6 @@ class Link:
         # three layers of pure-Python argument checking per packet.
         self._base_delay = model.base_delay
         self._jitter = model.jitter
-        self._randint = rng.randint
         self._getrandbits = rng.getrandbits
         self._jitter_n = model.jitter + 1
         self._jitter_bits = self._jitter_n.bit_length()
@@ -153,12 +152,6 @@ class Link:
             self.packets_dropped += 1
             return
         self._deliver_b(packet)
-
-    def sample_delay(self) -> int:
-        """Draw one one-way delay."""
-        if self._jitter == 0:
-            return self._base_delay
-        return self._base_delay + self._randint(0, self._jitter)
 
     def set_up(self, up: bool) -> None:
         """Administratively enable/disable the link.

@@ -22,7 +22,7 @@ Probabilities default to zero; the fault-injection experiments set them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import cos as _cos, log as _log, sin as _sin, sqrt as _sqrt
 from typing import Callable, List, Optional
 
@@ -31,7 +31,7 @@ from repro.clocks.oscillator import Oscillator, OscillatorModel
 from repro.network.packet import Packet
 from repro.network.port import Port
 from repro.sim.kernel import Simulator
-from repro.sim.rng import HAS_GAUSS_NEXT, TWOPI
+from repro.sim.rng import TWOPI
 from repro.sim.timebase import MICROSECONDS, MILLISECONDS
 from repro.sim.trace import TraceLog
 
@@ -80,7 +80,6 @@ class TxRecord:
     tx_timestamp: Optional[int] = None
     timed_out: bool = False
     deadline_missed: bool = False
-    extra: dict = field(default_factory=dict)
 
 
 class Nic:
@@ -207,21 +206,17 @@ class Nic:
             # Draw the noise before reading the clock: the PHC read may
             # advance oscillator wander on the same RNG stream, and the
             # draw interleaving is part of the deterministic schedule.
-            if HAS_GAUSS_NEXT:
-                # Inline of rng.gauss(0.0, jitter): Box–Muller with the
-                # cached second variate, identical draws on the same state.
-                rng = self.rng
-                z = rng.gauss_next
-                rng.gauss_next = None
-                if z is None:
-                    x2pi = rng.random() * TWOPI
-                    g2rad = _sqrt(-2.0 * _log(1.0 - rng.random()))
-                    z = _cos(x2pi) * g2rad
-                    rng.gauss_next = _sin(x2pi) * g2rad
-                noise = z * jitter
-            else:
-                noise = self.rng.gauss(0.0, jitter)
-            return round(self._clock_time() + noise)
+            # Inline of rng.gauss(0.0, jitter): Box–Muller with the
+            # cached second variate, identical draws on the same state.
+            rng = self.rng
+            z = rng.gauss_next
+            rng.gauss_next = None
+            if z is None:
+                x2pi = rng.random() * TWOPI
+                g2rad = _sqrt(-2.0 * _log(1.0 - rng.random()))
+                z = _cos(x2pi) * g2rad
+                rng.gauss_next = _sin(x2pi) * g2rad
+            return round(self._clock_time() + z * jitter)
         return self._clock_time()
 
     def set_enabled(self, enabled: bool) -> None:

@@ -31,7 +31,7 @@ from repro.clocks.oscillator import Oscillator, OscillatorModel
 from repro.network.packet import GPTP_MULTICAST, Packet
 from repro.network.port import Port
 from repro.sim.kernel import Simulator
-from repro.sim.rng import HAS_GAUSS_NEXT, TWOPI
+from repro.sim.rng import TWOPI
 from repro.sim.trace import TraceLog
 
 #: Defensive bound on switch traversals per packet.
@@ -141,21 +141,17 @@ class TsnSwitch:
             # Draw the noise before reading the clock: the PHC read may
             # advance oscillator wander on the same RNG stream, and the
             # draw interleaving is part of the deterministic schedule.
-            if HAS_GAUSS_NEXT:
-                # Inline of rng.gauss(0.0, jitter): Box–Muller with the
-                # cached second variate, identical draws on the same state.
-                rng = self.rng
-                z = rng.gauss_next
-                rng.gauss_next = None
-                if z is None:
-                    x2pi = rng.random() * TWOPI
-                    g2rad = _sqrt(-2.0 * _log(1.0 - rng.random()))
-                    z = _cos(x2pi) * g2rad
-                    rng.gauss_next = _sin(x2pi) * g2rad
-                noise = z * jitter
-            else:
-                noise = self.rng.gauss(0.0, jitter)
-            return round(self._clock_time() + noise)
+            # Inline of rng.gauss(0.0, jitter): Box–Muller with the
+            # cached second variate, identical draws on the same state.
+            rng = self.rng
+            z = rng.gauss_next
+            rng.gauss_next = None
+            if z is None:
+                x2pi = rng.random() * TWOPI
+                g2rad = _sqrt(-2.0 * _log(1.0 - rng.random()))
+                z = _cos(x2pi) * g2rad
+                rng.gauss_next = _sin(x2pi) * g2rad
+            return round(self._clock_time() + z * jitter)
         return self._clock_time()
 
     def residence_delay(self) -> int:
@@ -209,13 +205,6 @@ class TsnSwitch:
         clone.hops += 1
         self.forwarded += 1
         self._post(self.residence_delay(), out_port.transmit, clone)
-
-    def transmit_gptp(self, out_port: Port, packet: Packet, delay: int = 0) -> None:
-        """Egress path for bridge-regenerated gPTP frames."""
-        if delay > 0:
-            self._post(delay, out_port.transmit, packet)
-        else:
-            out_port.transmit(packet)
 
     def __repr__(self) -> str:
         return f"TsnSwitch({self.name!r}, ports={sorted(self.ports)})"

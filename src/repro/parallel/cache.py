@@ -19,8 +19,10 @@ Integrity: entries are written inside a checksum envelope
 and verified on every read. A corrupt, truncated, or checksum-mismatched
 entry is *quarantined* — moved to ``<root>/quarantine/`` for forensics —
 and counted as a miss, so a bit flip or torn write costs one recompute,
-never a poisoned study. Pre-envelope entries (raw payloads) still read
-fine. ``repro cache verify`` sweeps the whole store offline.
+never a poisoned study. A document that is not an envelope at all (such
+as a raw payload from before the envelope) has nothing to verify and is
+quarantined the same way. ``repro cache verify`` sweeps the whole store
+offline.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ import warnings
 from typing import Any, Dict, Optional
 
 #: Bump when the cached payload shape changes; old entries become misses.
+#: It is hashed into every key, so a bump also changes every study
+#: fingerprint.
 SCHEMA_VERSION = 1
 
 #: Default cache root, relative to the working directory.
@@ -149,9 +153,10 @@ class ResultsCache:
         """Return the cached payload, or ``None`` on a miss.
 
         A corrupt entry — torn write, bit flip, invalid UTF-8, manual
-        edit, or a checksum mismatch against the envelope — is
-        quarantined to ``<root>/quarantine/`` and reported as a miss
-        rather than poisoning (or crashing) the study.
+        edit, a document that is not a checksum envelope, or a checksum
+        mismatch against the envelope — is quarantined to
+        ``<root>/quarantine/`` and reported as a miss rather than
+        poisoning (or crashing) the study.
         """
         if self.disabled:
             # Still a miss: hit/miss accounting must stay meaningful (and
@@ -174,22 +179,17 @@ class ResultsCache:
             # *not* a ValueError subclass path json.load reports — a
             # bit-flipped byte can make the file invalid UTF-8 and used
             # to escape this handler entirely (the pre-envelope bug).
-            self._quarantine(path)
-            self.misses += 1
-            return None
+            doc = None
         if isinstance(doc, dict) and set(doc) == _ENVELOPE_KEYS:
             digest = hashlib.sha256(
                 _canonical_body(doc["payload"]).encode("utf-8")
             ).hexdigest()
-            if digest != doc["sha256"]:
-                self._quarantine(path)
-                self.misses += 1
-                return None
-            payload = doc["payload"]
-        else:
-            payload = doc  # pre-envelope entry: accepted unverified
-        self.hits += 1
-        return payload
+            if digest == doc["sha256"]:
+                self.hits += 1
+                return doc["payload"]
+        self._quarantine(path)
+        self.misses += 1
+        return None
 
     def put(self, key: str, payload: Any) -> None:
         """Store a payload atomically (tmp + rename) inside a checksum
@@ -384,37 +384,19 @@ def prune_cache(
 def verify_store(root: str = DEFAULT_CACHE_DIR) -> Dict[str, int]:
     """Offline integrity sweep (the ``repro cache verify`` CLI).
 
-    Re-reads every entry, recomputes the envelope checksum, and
-    quarantines anything unreadable or mismatched — the same healing
-    :meth:`ResultsCache.get` applies lazily, applied eagerly to the
-    whole store. Pre-envelope (legacy) entries are counted but left in
-    place: they carry no checksum to verify against.
+    Reads every entry through :meth:`ResultsCache.get`, so the store is
+    healed eagerly by the same verification and quarantine that a study
+    applies lazily.
 
-    Returns ``{"scanned", "ok", "legacy", "quarantined"}``.
+    Returns ``{"scanned", "ok", "quarantined"}``.
     """
     cache = ResultsCache(root)
-    scanned = ok = legacy = 0
+    scanned = 0
     for path, _, _ in list(_iter_entries(root)):
         scanned += 1
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (ValueError, UnicodeDecodeError, OSError):
-            cache._quarantine(path)
-            continue
-        if isinstance(doc, dict) and set(doc) == _ENVELOPE_KEYS:
-            digest = hashlib.sha256(
-                _canonical_body(doc["payload"]).encode("utf-8")
-            ).hexdigest()
-            if digest != doc["sha256"]:
-                cache._quarantine(path)
-            else:
-                ok += 1
-        else:
-            legacy += 1
+        cache.get(os.path.basename(path)[:-len(".json")])
     return {
         "scanned": scanned,
-        "ok": ok,
-        "legacy": legacy,
+        "ok": cache.hits,
         "quarantined": cache.quarantined,
     }

@@ -140,14 +140,11 @@ class WorkerPool:
     task_timeout:
         Wall-clock seconds one attempt may take before its worker is
         terminated; ``None`` disables the watchdog.
-    retries:
-        Legacy knob: extra attempts granted after a crash or timeout
-        (default 1: "retry once on crash"). Ignored when
-        ``retry_policy`` is given. Task-function exceptions never retry.
     retry_policy:
-        A :class:`repro.resilience.RetryPolicy` — total attempts plus
-        exponential backoff with deterministic seeded jitter. Default:
-        ``RetryPolicy.from_retries(retries)`` (no backoff).
+        A :class:`repro.resilience.RetryPolicy` — total attempts after a
+        crash or timeout plus exponential backoff with deterministic
+        seeded jitter. Default: ``RetryPolicy()`` (retry once, no
+        backoff). Task-function exceptions never retry.
     spawn_failure_limit:
         After this many consecutive ``Process.start()`` failures
         (fork/spawn ``OSError``: fd or pid exhaustion, low memory) the
@@ -168,22 +165,19 @@ class WorkerPool:
         self,
         max_workers: Optional[int] = None,
         task_timeout: Optional[float] = None,
-        retries: int = 1,
         retry_policy: Optional[RetryPolicy] = None,
         spawn_failure_limit: int = 3,
         start_method: str = "spawn",
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
         if spawn_failure_limit < 1:
             raise ValueError(
                 f"spawn_failure_limit must be >= 1, got {spawn_failure_limit}"
             )
         self.max_workers = max_workers or os.cpu_count() or 1
         self.task_timeout = task_timeout
-        self.retry_policy = retry_policy or RetryPolicy.from_retries(retries)
+        self.retry_policy = retry_policy or RetryPolicy()
         self.spawn_failure_limit = spawn_failure_limit
         #: Wall-clock seconds of every *successful* attempt, in completion
         #: order, accumulated across :meth:`map` calls — the per-arm timing
@@ -202,11 +196,6 @@ class WorkerPool:
         self._on_result: Optional[Callable[[int, Any], None]] = None
         self._faults = None
         self._ctx = multiprocessing.get_context(start_method)
-
-    @property
-    def retries(self) -> int:
-        """Legacy view: extra attempts after the first."""
-        return self.retry_policy.retries
 
     def attach_faults(self, injector) -> None:
         """Attach (or with ``None``, detach) a ``worker.exec`` fault

@@ -26,9 +26,8 @@ def _unit_interval(*parts: object) -> float:
 class RetryPolicy:
     """How many attempts a task gets and how long to wait between them.
 
-    ``max_attempts`` counts *total* attempts (1 = never retry — the
-    historical serial behaviour; the pool's historical default maps to
-    2: retry once). Backoff before retry ``k`` (1-based) is
+    ``max_attempts`` counts *total* attempts (1 = never retry; the
+    default, 2, retries once). Backoff before retry ``k`` (1-based) is
     ``backoff_s * backoff_factor**(k-1)``, capped at ``max_backoff_s``,
     then scaled by ``1 + jitter * u`` where ``u`` is the deterministic
     unit draw for ``(seed, index, k)``.
@@ -64,17 +63,6 @@ class RetryPolicy:
             )
         if self.jitter < 0:
             raise ValueError(f"jitter must be >= 0, got {self.jitter}")
-
-    @classmethod
-    def from_retries(cls, retries: int) -> "RetryPolicy":
-        """Map the legacy ``WorkerPool(retries=N)`` knob: N extra
-        attempts, no backoff."""
-        return cls(max_attempts=retries + 1)
-
-    @property
-    def retries(self) -> int:
-        """Extra attempts after the first (the legacy knob)."""
-        return self.max_attempts - 1
 
     def delay_s(self, index: int, attempt: int) -> float:
         """Seconds to wait before retry ``attempt`` (1-based) of task

@@ -193,9 +193,6 @@ class AdaptiveAttack(_SteeredAttack):
             self._applied[vm.name] = shift
             vm.stack.instances[domain].malicious_origin_shift = shift
 
-    def current_shift(self) -> int:  # pragma: no cover - _tick overridden
-        return self.shift
-
 
 # ----------------------------------------------------------------------
 # On-path (link tap) attacks

@@ -15,7 +15,7 @@ than comparable handle objects: tuple comparison happens in C and, because
 ``seq`` is unique, ordering never falls through to the third element. Three
 scheduling flavours share that one queue shape:
 
-* :meth:`Simulator.post` / :meth:`Simulator.post_at` — fire-and-forget.
+* :meth:`Simulator.post` — fire-and-forget.
   No :class:`EventHandle` is allocated (``handle`` is ``None``); the bulk of
   all events (packet deliveries, timestamp callbacks) use this path.
 * :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` — cancellable.
@@ -100,11 +100,6 @@ class EventHandle:
                 sim._maybe_compact()
         self.callback = None
         self.args = ()
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
@@ -226,19 +221,6 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         time = self.now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        _heappush(self._queue, (time, seq, None, callback, args))
-        self._live += 1
-        if self._metrics is not None and self._live > self._queue_hwm:
-            self._queue_hwm = self._live
-
-    def post_at(self, time: int, callback: Callable[..., None], *args: Any) -> None:
-        """Absolute-time variant of :meth:`post`."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time} ns; current time is {self.now} ns"
-            )
         seq = self._seq
         self._seq = seq + 1
         _heappush(self._queue, (time, seq, None, callback, args))

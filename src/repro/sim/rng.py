@@ -14,16 +14,14 @@ import random
 from math import pi as _pi
 from typing import Dict
 
-#: Constants for the inlined ``random.gauss`` draws in the hot paths
+#: Constant for the inlined ``random.gauss`` draws in the hot paths
 #: (:meth:`repro.network.nic.Nic.timestamp`,
 #: :meth:`repro.network.switch.TsnSwitch.timestamp` and the oscillator's
 #: wander replay). ``random.gauss`` keeps its spare Box–Muller variate in
-#: the instance attribute ``gauss_next`` (stable across CPython 3.9–3.13);
-#: each inline replicates the library algorithm bit-for-bit on the same
-#: state, and falls back to the library call if this import-time check
-#: ever finds the attribute gone.
+#: the instance attribute ``gauss_next`` (present on every CPython the
+#: project supports, 3.9 onwards); each inline replicates the library
+#: algorithm bit-for-bit on the same state.
 TWOPI = 2.0 * _pi
-HAS_GAUSS_NEXT = hasattr(random.Random(0), "gauss_next")
 
 
 class RngRegistry:

@@ -97,9 +97,6 @@ class Study:
             tuple(job.key for job in self.jobs),
         )
 
-    def __len__(self) -> int:
-        return len(self.jobs)
-
 
 @dataclass
 class StudyPlan:

@@ -14,10 +14,10 @@ Kinds and their fields (all durations in seconds of simulated time):
 ``montecarlo``
     ``seeds`` (list) or ``base_seed``+``runs``; ``hours``; ``scenario``.
 ``sweep``
-    ``study`` (one of the canned axes: domains, interval, aggregation,
-    threshold, topology, hopcount, faultbudget, lossrate, attackbudget);
-    ``values`` (optional axis override); ``seed``; ``duration_s``;
-    ``warmup_records``; ``fidelity``; ``scenario``.
+    ``study`` (a key of :data:`repro.experiments.sweeps.SWEEP_AXES`);
+    ``values`` (optional axis override, in the axis's units); ``seed``;
+    ``duration_s`` (default: the axis's own); ``warmup_records``;
+    ``fidelity``; ``scenario``.
 ``envelope``
     ``scenarios`` (list); ``seed``; ``duration_s``; ``attack_check``;
     ``attack_colluders``; ``fidelity``.
@@ -30,7 +30,7 @@ Kinds and their fields (all durations in seconds of simulated time):
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
 from repro.sim.timebase import SECONDS
 from repro.studies.core import StudyPlan
@@ -38,12 +38,6 @@ from repro.studies.core import StudyPlan
 SPEC_SCHEMA_VERSION = 1
 
 KINDS = ("montecarlo", "sweep", "envelope", "chaos")
-
-#: Canned sweep axes whose ``values`` parameter goes by another name.
-_SWEEP_VALUES_PARAM = {
-    "interval": "values_ms",
-    "threshold": "values_us",
-}
 
 
 def load_spec(path: str) -> Dict[str, Any]:
@@ -109,42 +103,27 @@ def _plan_montecarlo(spec: Dict[str, Any]) -> StudyPlan:
 
 
 def _plan_sweep(spec: Dict[str, Any]) -> StudyPlan:
-    from repro.experiments import sweeps as sw
+    from repro.experiments.sweeps import SWEEP_AXES
 
-    runners = {
-        "domains": sw.sweep_domain_count,
-        "interval": sw.sweep_sync_interval,
-        "aggregation": sw.sweep_aggregation,
-        "threshold": sw.sweep_validity_threshold,
-        "topology": sw.sweep_topology,
-        "hopcount": sw.sweep_hop_count,
-        "faultbudget": sw.sweep_fault_budget,
-        "lossrate": sw.sweep_loss_rate,
-        "attackbudget": sw.sweep_attack_budget,
-    }
     study = spec.get("study")
-    if study not in runners:
+    if study not in SWEEP_AXES:
         raise ValueError(
             f"unknown sweep study {study!r} "
-            f"(expected one of {', '.join(sorted(runners))})"
+            f"(expected one of {', '.join(sorted(SWEEP_AXES))})"
         )
-    default_s = 900.0 if study == "attackbudget" else 120.0
     kwargs: Dict[str, Any] = {
         "seed": int(spec.get("seed", 9)),
-        "duration": _duration_ns(spec, default_s),
         "scenario": spec.get("scenario"),
         "fidelity": spec.get("fidelity", "full"),
         "compile_only": True,
     }
+    if "duration_s" in spec:
+        kwargs["duration"] = round(float(spec["duration_s"]) * SECONDS)
     if "warmup_records" in spec:
         kwargs["warmup_records"] = int(spec["warmup_records"])
     if "values" in spec:
-        values = spec["values"]
-        if study == "faultbudget":
-            # (f, M) pairs arrive as JSON arrays; the axis wants tuples.
-            values = [tuple(v) for v in values]
-        kwargs[_SWEEP_VALUES_PARAM.get(study, "values")] = values
-    return runners[study](**kwargs)
+        kwargs["values"] = spec["values"]
+    return SWEEP_AXES[study](**kwargs)
 
 
 def _plan_envelope(spec: Dict[str, Any]) -> StudyPlan:
@@ -344,9 +323,3 @@ def render_run(spec: Dict[str, Any], plan: StudyPlan, run) -> str:
             f"bound={row.bound_ns:.0f}ns)"
         )
     return "\n".join(lines)
-
-
-def collect_from_ledger(ledger) -> Optional[List[str]]:
-    """Convenience: unfinished keys of a loaded ledger (None if complete)."""
-    unfinished = ledger.unfinished()
-    return unfinished or None

@@ -197,7 +197,7 @@ class TestEnvelopeSweepCommand:
     def test_single_scenario_smoke(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.json"
         code = main(["sweep", "envelope", "--scenario", "paper-mesh4",
-                     "--sim-seconds", "60", "--no-cache",
+                     "--duration", "60", "--no-cache",
                      "--metrics", str(metrics), "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
@@ -213,11 +213,6 @@ class TestEnvelopeSweepCommand:
         assert manifest["extra"]["min_margin_ns"] == pytest.approx(
             row["margin_ns"]
         )
-
-    def test_duration_flags_conflict(self, capsys):
-        assert main(["sweep", "envelope", "--sim-seconds", "60",
-                     "--duration", "60"]) == 2
-        assert "--sim-seconds" in capsys.readouterr().err
 
 
 class TestStudyCommand:

@@ -40,7 +40,7 @@ class TestSweepFramework:
         assert all(r.max_precision_ns < r.bound_ns for r in rows)
 
     def test_sync_interval_sweep_scales_gamma(self):
-        rows = sweep_sync_interval(values_ms=(62.5, 250.0),
+        rows = sweep_sync_interval(values=(62.5, 250.0),
                                    duration=90 * SECONDS, warmup_records=20)
         # Γ doubles with S: the 250ms bound exceeds the 62.5ms bound.
         assert rows[1].bound_ns > rows[0].bound_ns

@@ -152,6 +152,100 @@ class TestFaultInjector:
         assert all(r.reason for r in skipped)
 
 
+class TestCompressedSchedule:
+    """The §III-C schedule compressed into 12 simulated minutes.
+
+    A 1-minute GM period, 60 redundant shutdowns per hour per node, a
+    1-minute ``min_gap`` and 20 s boots: every path of the injector runs
+    (rotation, redundant draws, sibling skips, the exclusion list) in
+    seconds, on the same no-network nodes as the slow schedule tests. The
+    30 s initial delay differs from ``min_gap`` so the gap check sees the
+    ``min_gap`` floor and not the initial delay.
+    """
+
+    MIN_GAP = 1 * MINUTES
+    INITIAL_DELAY = 30 * SECONDS
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        sim = Simulator()
+        trace = TraceLog()
+        nodes = make_testbed(sim, trace, boot_delay=20 * SECONDS)
+        # At every shutdown, record whether the victim's node still had
+        # another VM running (read from the VMs, not the injector).
+        sibling_up = []
+        for node in nodes:
+            for vm in node.clock_sync_vms:
+                def checked(reboot=True, reason="injected", vm=vm, node=node,
+                            original=vm.fail_silent):
+                    sibling_up.append((vm.name, any(
+                        other.running for other in node.clock_sync_vms
+                        if other is not vm
+                    )))
+                    original(reboot=reboot, reason=reason)
+                vm.fail_silent = checked
+        injector = FaultInjector(
+            sim, nodes,
+            FaultInjectionConfig(
+                gm_shutdown_period=1 * MINUTES,
+                redundant_rate_per_hour=60.0,
+                min_gap=self.MIN_GAP,
+                initial_delay=self.INITIAL_DELAY,
+                exclude=("c2_2",),
+                require_sibling_synchronized=False,
+            ),
+            random.Random(5), trace,
+        )
+        injector.start()
+        sim.run_until(12 * MINUTES)
+        return trace, injector, sibling_up
+
+    def test_gm_rotation_order(self, run):
+        trace, injector, sibling_up = run
+        gm = [r for r in injector.records if r.kind == "gm"]
+        assert len(gm) == 11  # ticks at 1.5, 2.5, ..., 11.5 min
+        assert [r.time for r in gm] == [
+            self.INITIAL_DELAY + (1 + i) * MINUTES for i in range(len(gm))
+        ]
+        assert [r.vm for r in gm] == [f"c{1 + i % 4}_1" for i in range(len(gm))]
+        assert len(injector.performed("gm")) >= 8
+
+    def test_skips_recorded_with_reason_never_performed(self, run):
+        trace, injector, sibling_up = run
+        skipped = [r for r in injector.records if r.skipped]
+        assert skipped, "the compressed schedule must hit the sibling guard"
+        shutdowns = {(r.time, r.source)
+                     for r in trace.query(category="fault.fail_silent")}
+        for r in skipped:
+            assert r.reason in ("sibling not ready", "already down")
+            assert (r.time, r.vm) not in shutdowns
+        assert injector.summary()["skipped"] == len(skipped)
+        assert len(shutdowns) == len(injector.performed())
+
+    def test_never_both_vms_of_node_down_at_injection(self, run):
+        trace, injector, sibling_up = run
+        assert len(sibling_up) == len(injector.performed()) >= 20
+        assert all(up for _, up in sibling_up), sibling_up
+
+    def test_min_gap_between_redundant_ticks_per_node(self, run):
+        trace, injector, sibling_up = run
+        per_node = {}
+        for r in injector.records:
+            if r.kind == "redundant":
+                per_node.setdefault(r.vm.split("_")[0], []).append(r.time)
+        gaps = [b - a for times in per_node.values()
+                for a, b in zip(times, times[1:])]
+        assert len(gaps) >= 10
+        assert min(gaps) == self.MIN_GAP  # clamped draws sit on the floor
+        assert all(g >= self.MIN_GAP for g in gaps)
+
+    def test_excluded_vm_never_injected(self, run):
+        trace, injector, sibling_up = run
+        assert all(r.vm != "c2_2" for r in injector.records)
+        # Its node's GM still rotates.
+        assert any(r.vm == "c2_1" for r in injector.performed("gm"))
+
+
 class TestTransientCalibration:
     def test_probabilities_land_on_targets(self):
         plan = calibrate_transients()

@@ -175,35 +175,26 @@ class TestEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Sweep duration override (--sim-seconds)
+# Sweep duration override (--duration)
 # ----------------------------------------------------------------------
 class TestSweepSimSeconds:
-    def test_parser_accepts_sim_seconds(self):
+    def test_parser_accepts_duration(self):
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["sweep", "attackbudget", "--sim-seconds", "60"]
+            ["sweep", "attackbudget", "--duration", "60"]
         )
-        assert args.sim_seconds == 60.0
-        assert args.duration is None
+        assert args.duration == 60.0
         assert args.fidelity == "full"
 
-    def test_duration_and_sim_seconds_conflict(self):
-        from repro.cli import main
-
-        rc = main(["sweep", "attackbudget", "--sim-seconds", "60",
-                   "--duration", "120", "--no-cache"])
-        assert rc == 2
-
     def test_attackbudget_smoke_at_60s(self, capsys):
-        """Satellite: the 900 s/arm default is overridable for large
-        topologies; a 60 s attackbudget sweep completes and reports a
-        breaking point."""
+        """The 900 s/arm default is overridable for large topologies; a
+        60 s attackbudget sweep completes and reports a breaking point."""
         import json
 
         from repro.cli import main
 
-        rc = main(["sweep", "attackbudget", "--sim-seconds", "60",
+        rc = main(["sweep", "attackbudget", "--duration", "60",
                    "--no-cache", "--json"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)

@@ -179,16 +179,3 @@ class TestWanderReplayOracle:
                            repr(osc._next_boundary), osc.rng.getstate()))
             assert abs(osc._elapsed - end) <= end * from_ppm(model.max_rate_ppm) + 1
         assert states[0] == states[1]
-
-
-@pytest.mark.parametrize("model", list(MODELS.values()), ids=list(MODELS))
-def test_library_fallback_matches_reference(model, monkeypatch):
-    """Without ``gauss_next`` the replay calls ``rng.gauss`` and agrees too."""
-    import repro.clocks.oscillator as oscillator_module
-
-    monkeypatch.setattr(oscillator_module, "HAS_GAUSS_NEXT", False,
-                        raising=False)
-    run_pair(11, model, 12_345, [
-        ("gauss",), ("read", 1, "on", 0, "read"), ("read", 290, "after", 0, "clock"),
-        ("random",), ("read", 3_000, "free", 77, "rate_error"),
-    ])

@@ -16,6 +16,12 @@ from repro.parallel import (
     config_fingerprint,
     default_chunk_size,
 )
+from repro.resilience import RetryPolicy
+
+#: Two attempts in all: retry once after a crash or timeout.
+RETRY_ONCE = RetryPolicy(max_attempts=2)
+#: One attempt: never retry.
+NO_RETRY = RetryPolicy(max_attempts=1)
 
 
 @pytest.fixture
@@ -41,13 +47,13 @@ class TestWorkerPool:
         assert "ValueError: boom" in str(err.value)
 
     def test_crash_exhausts_retries(self):
-        pool = WorkerPool(max_workers=1, retries=1)
+        pool = WorkerPool(max_workers=1, retry_policy=RETRY_ONCE)
         with pytest.raises(TaskCrashError, match="attempt 2"):
             pool.map([TaskSpec(fn=helpers.crash)])
 
     def test_crash_retried_once_then_succeeds(self, tmp_path):
         marker = str(tmp_path / "crashed-once")
-        pool = WorkerPool(max_workers=1, retries=1)
+        pool = WorkerPool(max_workers=1, retry_policy=RETRY_ONCE)
         result = pool.map(
             [TaskSpec(fn=helpers.crash_once_then, args=(marker, "ok"))]
         )
@@ -55,19 +61,21 @@ class TestWorkerPool:
 
     def test_timeout_kills_wedged_worker_and_retries(self, tmp_path):
         marker = str(tmp_path / "hung-once")
-        pool = WorkerPool(max_workers=1, task_timeout=1.5, retries=1)
+        pool = WorkerPool(max_workers=1, task_timeout=1.5,
+                          retry_policy=RETRY_ONCE)
         result = pool.map(
             [TaskSpec(fn=helpers.hang_once_then, args=(marker, "ok"))]
         )
         assert result == ["ok"]
 
     def test_timeout_exhausts_retries(self):
-        pool = WorkerPool(max_workers=1, task_timeout=0.5, retries=0)
+        pool = WorkerPool(max_workers=1, task_timeout=0.5,
+                          retry_policy=NO_RETRY)
         with pytest.raises(TaskTimeoutError):
             pool.map([TaskSpec(fn=helpers.slow_square, args=(2, 30.0))])
 
     def test_one_bad_task_does_not_sink_the_rest(self):
-        pool = WorkerPool(max_workers=2, retries=0)
+        pool = WorkerPool(max_workers=2, retry_policy=NO_RETRY)
         with pytest.raises(TaskCrashError, match="task 1 "):
             pool.map([
                 TaskSpec(fn=helpers.square, args=(2,)),
@@ -79,7 +87,7 @@ class TestWorkerPool:
         with pytest.raises(ValueError):
             WorkerPool(max_workers=0)
         with pytest.raises(ValueError):
-            WorkerPool(retries=-1)
+            WorkerPool(spawn_failure_limit=0)
 
     def test_chunk_heuristic(self):
         assert default_chunk_size(32, 4) == 2

@@ -276,10 +276,6 @@ class TestRetryPolicy:
     def test_no_backoff_means_zero_delay(self):
         assert RetryPolicy(max_attempts=3).delay_s(0, 2) == 0.0
 
-    def test_legacy_retries_mapping(self):
-        assert RetryPolicy.from_retries(1).max_attempts == 2
-        assert RetryPolicy.from_retries(0).retries == 0
-
     @pytest.mark.parametrize("kwargs", [
         dict(max_attempts=0),
         dict(backoff_s=-1.0),
@@ -338,15 +334,16 @@ class TestCacheHealing:
         cache.put(key, {"v": 2})
         assert cache.get(key) == {"v": 2}
 
-    def test_legacy_raw_entry_still_reads(self, tmp_path):
+    def test_raw_entry_without_envelope_is_quarantined_miss(self, tmp_path):
         cache = ResultsCache(str(tmp_path / "store"))
         key = config_fingerprint("heal", 2)
         path = cache._path(key)
         os.makedirs(os.path.dirname(path))
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"legacy": True}, fh)
-        assert cache.get(key) == {"legacy": True}
-        assert cache.hits == 1 and cache.quarantined == 0
+            json.dump({"raw": True}, fh)
+        assert cache.get(key) is None
+        assert cache.hits == 0 and cache.quarantined == 1
+        assert not os.path.exists(path)
 
     def test_quarantine_counter_in_metrics_registry(self, tmp_path):
         cache, key, path = self._cache_with_entry(tmp_path)
@@ -363,21 +360,19 @@ class TestCacheHealing:
         keys = [config_fingerprint("heal", n) for n in range(3)]
         for n, key in enumerate(keys):
             cache.put(key, {"n": n})
-        # One legacy entry, one corrupted entry.
-        legacy_key = config_fingerprint("heal", "legacy")
-        legacy_path = cache._path(legacy_key)
-        os.makedirs(os.path.dirname(legacy_path), exist_ok=True)
-        with open(legacy_path, "w", encoding="utf-8") as fh:
+        # One entry without a checksum envelope, one torn entry.
+        raw_key = config_fingerprint("heal", "raw")
+        raw_path = cache._path(raw_key)
+        os.makedirs(os.path.dirname(raw_path), exist_ok=True)
+        with open(raw_path, "w", encoding="utf-8") as fh:
             json.dump([1, 2], fh)
         with open(cache._path(keys[0]), "r+b") as fh:
             fh.truncate(12)
         summary = verify_store(root)
-        assert summary == {
-            "scanned": 4, "ok": 2, "legacy": 1, "quarantined": 1,
-        }
+        assert summary == {"scanned": 4, "ok": 2, "quarantined": 2}
         stats = cache_stats(root)
-        assert stats["quarantined"] == 1
-        assert stats["entries"] == 3  # quarantine dir is not an entry
+        assert stats["quarantined"] == 2
+        assert stats["entries"] == 2  # quarantine dir is not an entry
 
     def test_write_stats_records_quarantines(self, tmp_path):
         cache, key, path = self._cache_with_entry(tmp_path)

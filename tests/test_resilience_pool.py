@@ -110,8 +110,3 @@ class TestBackoffAccounting:
             return pool.backoff_total_s
 
         assert run_once() == run_once()
-
-    def test_legacy_retries_knob_still_works(self):
-        pool = WorkerPool(max_workers=1, retries=1)
-        assert pool.retries == 1
-        assert pool.retry_policy.max_attempts == 2
