@@ -30,7 +30,7 @@ import argparse
 import json
 import sys
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 # Each subcommand imports what it runs, so ``--help``, ``study status`` and
 # ``cache`` load no simulation code.
@@ -57,14 +57,10 @@ def _scenario_of(args: argparse.Namespace):
 # Subcommands
 # ----------------------------------------------------------------------
 def cmd_survey(args: argparse.Namespace) -> int:
-    from repro.experiments.testbed import Testbed, TestbedConfig
+    from repro.experiments.testbed import Testbed, resolve_testbed_config
     from repro.sim.timebase import SECONDS
 
-    spec = _scenario_of(args)
-    testbed = Testbed(
-        spec.testbed_config(seed=args.seed)
-        if spec is not None else TestbedConfig(seed=args.seed)
-    )
+    testbed = Testbed(resolve_testbed_config(_scenario_of(args), args.seed))
     testbed.run_until(round(args.warmup * SECONDS))
     bounds = testbed.derive_bounds()
     payload = {
@@ -116,10 +112,13 @@ def cmd_faults(args: argparse.Namespace) -> int:
         render_series,
         render_timeline,
     )
+    from dataclasses import replace
+
     from repro.experiments.fault_injection import (
         FaultInjectionExperimentConfig,
         run_fault_injection_experiment,
     )
+    from repro.parallel import config_fingerprint
     from repro.sim.timebase import HOURS
 
     spec = _scenario_of(args)
@@ -129,34 +128,23 @@ def cmd_faults(args: argparse.Namespace) -> int:
     elif args.compress:
         config = base.scaled(args.hours)
     else:
-        config = FaultInjectionExperimentConfig(
-            duration=round(args.hours * HOURS),
-            seed=args.seed,
-            injector=base.injector,
-            scenario=spec,
-        )
-    registry = _metrics_registry(args)
-    result = run_fault_injection_experiment(config, metrics=registry)
-    if registry is not None:
-        from repro.metrics import RunManifest
-        from repro.parallel import config_fingerprint
-
-        wall = registry.histograms.get("experiment.run_wall_s")
-        events = registry.counters.get("experiment.events_dispatched")
-        _write_metrics(args, registry, RunManifest(
+        config = replace(base, duration=round(args.hours * HOURS))
+    result = _run_recorded(
+        args,
+        lambda registry: run_fault_injection_experiment(config,
+                                                        metrics=registry),
+        lambda result: dict(
             experiment="fault_injection",
             config_fingerprint=config_fingerprint("faults", config),
             seeds=[args.seed],
             sim_duration_ns=config.duration,
-            wall_time_s=wall.sum if wall is not None else None,
-            events_dispatched=events.value if events is not None else None,
-            scenario=spec.name if spec else None,
-            scenario_fingerprint=spec.fingerprint() if spec else None,
+            scenario=spec,
             verdict=result.verdict.status,
             verdict_detail=result.verdict.to_dict(),
+            bounds=result.bounds,
             extra={"hours": args.hours, "compress": bool(args.compress)},
-            **_bounds_manifest_fields(result.bounds),
-        ))
+        ),
+    )
     payload = {
         "hours": args.hours,
         "verdict": result.verdict.to_dict(),
@@ -241,17 +229,11 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.chaos import load_plan, single_loss_plan
-    from repro.experiments.chaos import (
-        ChaosExperimentConfig,
-        run_chaos_experiment,
-    )
-    from repro.monitoring import FAIL, PASS
     from repro.sim.timebase import SECONDS
 
     if args.plan and args.loss is not None:
         print("use --plan or --loss, not both", file=sys.stderr)
         return 2
-    spec = _scenario_of(args)
     plan = None
     if args.plan:
         plan = load_plan(args.plan)
@@ -262,72 +244,27 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             end=(round(args.loss_end * SECONDS)
                  if args.loss_end is not None else None),
         )
-    config = ChaosExperimentConfig(
-        duration=round(args.duration * SECONDS),
-        seed=args.seed,
-        scenario=spec,
-        plan=plan,
-        fidelity=args.fidelity,
-    )
-    registry = _metrics_registry(args)
-    wall_start = time.perf_counter()
-    result = run_chaos_experiment(config, metrics=registry)
-    if registry is not None:
-        from repro.metrics import RunManifest
-        from repro.parallel import config_fingerprint
-
-        events = registry.counters.get("experiment.events_dispatched")
-        _write_metrics(args, registry, RunManifest(
-            experiment="chaos",
-            config_fingerprint=config_fingerprint("chaos", config),
-            seeds=[args.seed],
-            sim_duration_ns=config.duration,
-            wall_time_s=time.perf_counter() - wall_start,
-            events_dispatched=events.value if events is not None else None,
-            scenario=spec.name if spec else None,
-            scenario_fingerprint=spec.fingerprint() if spec else None,
-            verdict=result.verdict.status,
-            verdict_detail=result.verdict.to_dict(),
-            extra={
-                "plan": result.chaos_summary.get("plan"),
-                "violations": [v.to_dict() for v in result.violations],
-                **({"fidelity": args.fidelity,
-                    "fastforward": result.fastforward}
-                   if result.fastforward else {}),
-            },
-            **_bounds_manifest_fields(result.bounds),
-        ))
-    _emit(args, result.to_text(), result.to_dict())
-    if result.verdict.status == FAIL:
-        return 2
-    return 0 if result.verdict.status == PASS else 1
+    return _chaos_run(args, _scenario_of(args), "chaos", plan=plan)
 
 
-def _design_spec(spec):
-    """The spec whose fault budget the run is judged against.
+def _design_budget(spec) -> Dict[str, int]:
+    """The fault budget a run is judged against: ``design_f``, the
+    ``domains`` M and the ``floor_m`` 3f+1 that M must reach.
 
     Runs without ``--scenario`` use the paper's mesh4 testbed, whose
     design point is the registered ``paper-mesh4`` spec.
     """
-    if spec is not None:
-        return spec
-    from repro.scenarios import get_scenario
+    if spec is None:
+        from repro.scenarios import get_scenario
 
-    return get_scenario("paper-mesh4")
+        spec = get_scenario("paper-mesh4")
+    return {"design_f": spec.f, "domains": spec.effective_domains,
+            "floor_m": 3 * spec.f + 1}
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.experiments.chaos import (
-        ChaosExperimentConfig,
-        run_chaos_experiment,
-    )
-    from repro.experiments.testbed import TestbedConfig
-    from repro.monitoring import FAIL, PASS
-    from repro.security.campaigns import (
-        colluder_campaign,
-        default_gm_names,
-        load_campaign,
-    )
+    from repro.experiments.testbed import resolve_testbed_config
+    from repro.security.campaigns import colluder_campaign, load_campaign
     from repro.sim.timebase import SECONDS
 
     if (args.file is None) == (args.colluders is None):
@@ -340,73 +277,74 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if args.file is not None:
         campaign = load_campaign(args.file)
     else:
-        base = (spec.testbed_config(seed=args.seed)
-                if spec is not None else TestbedConfig(seed=args.seed))
-        gm_names = default_gm_names(
-            base.n_devices,
-            n_domains=spec.effective_domains if spec is not None else None,
-            gm_placement=base.gm_placement,
-        )
         campaign = colluder_campaign(
             args.colluders,
-            gm_names,
+            resolve_testbed_config(spec).gm_names(),
             margin=args.margin,
             start=round(args.start * SECONDS),
             stop=(round(args.stop * SECONDS)
                   if args.stop is not None else None),
         )
+    info = {
+        "campaign": campaign.name,
+        "stages": len(campaign.stages),
+        "colluders": args.colluders,
+        **_design_budget(spec),
+    }
+    return _chaos_run(args, spec, "campaign", campaign=campaign, info=info)
+
+
+def _chaos_run(args: argparse.Namespace, spec, experiment: str, plan=None,
+               campaign=None, info: Optional[Dict[str, Any]] = None) -> int:
+    """One run under the monitor for ``chaos`` (a ``plan``) or
+    ``campaign`` (a ``campaign``, described by ``info``); the exit code
+    grades the verdict."""
+    from repro.experiments.chaos import (
+        ChaosExperimentConfig,
+        run_chaos_experiment,
+    )
+    from repro.monitoring import FAIL, PASS
+    from repro.parallel import config_fingerprint
+    from repro.sim.timebase import SECONDS
+
     config = ChaosExperimentConfig(
         duration=round(args.duration * SECONDS),
         seed=args.seed,
         scenario=spec,
+        plan=plan,
         campaign=campaign,
         fidelity=args.fidelity,
     )
-    registry = _metrics_registry(args)
-    wall_start = time.perf_counter()
-    result = run_chaos_experiment(config, metrics=registry)
-    design = _design_spec(spec)
-    campaign_info = {
-        "campaign": campaign.name,
-        "stages": len(campaign.stages),
-        "colluders": args.colluders,
-        "design_f": design.f,
-        "domains": design.effective_domains,
-        "floor_m": 3 * design.f + 1,
-    }
-    if registry is not None:
-        from repro.metrics import RunManifest
-        from repro.parallel import config_fingerprint
-
-        events = registry.counters.get("experiment.events_dispatched")
-        _write_metrics(args, registry, RunManifest(
-            experiment="campaign",
-            config_fingerprint=config_fingerprint("campaign", config),
+    result = _run_recorded(
+        args,
+        lambda registry: run_chaos_experiment(config, metrics=registry),
+        lambda result: dict(
+            experiment=experiment,
+            config_fingerprint=config_fingerprint(experiment, config),
             seeds=[args.seed],
             sim_duration_ns=config.duration,
-            wall_time_s=time.perf_counter() - wall_start,
-            events_dispatched=events.value if events is not None else None,
-            scenario=spec.name if spec else None,
-            scenario_fingerprint=spec.fingerprint() if spec else None,
+            scenario=spec,
             verdict=result.verdict.status,
             verdict_detail=result.verdict.to_dict(),
+            bounds=result.bounds,
             extra=dict(
-                campaign_info,
+                info or {"plan": result.chaos_summary.get("plan")},
                 violations=[v.to_dict() for v in result.violations],
                 **({"fidelity": args.fidelity,
                     "fastforward": result.fastforward}
                    if result.fastforward else {}),
             ),
-            **_bounds_manifest_fields(result.bounds),
-        ))
-    payload = dict(result.to_dict())
-    payload["campaign"] = campaign_info
-    text = (
-        f"adversary campaign {campaign.name!r}: {len(campaign.stages)} "
-        f"stage(s) against design f={design.f} "
-        f"(M={design.effective_domains} >= 3f+1={3 * design.f + 1})\n"
-        + result.to_text()
+        ),
     )
+    payload = result.to_dict()
+    text = result.to_text()
+    if info is not None:
+        payload["campaign"] = info
+        text = (
+            f"adversary campaign {info['campaign']!r}: {info['stages']} "
+            f"stage(s) against design f={info['design_f']} "
+            f"(M={info['domains']} >= 3f+1={info['floor_m']})\n" + text
+        )
     _emit(args, text, payload)
     if result.verdict.status == FAIL:
         return 2
@@ -438,18 +376,6 @@ def cmd_linkfail(args: argparse.Namespace) -> int:
     return 0 if result.violations == 0 and result.recovered else 1
 
 
-def _bounds_manifest_fields(bounds) -> Dict[str, Any]:
-    """``bounds``/``predicted_bounds`` manifest blocks from run bounds.
-
-    The measured §III-A3 figures and the closed-form prediction travel as
-    separate schema-v3 manifest fields, so the prediction is split out of
-    :meth:`repro.measurement.bounds.ExperimentBounds.to_dict`'s nested form.
-    """
-    doc = bounds.to_dict()
-    predicted = doc.pop("predicted", None)
-    return {"bounds": doc, "predicted_bounds": predicted}
-
-
 def _metrics_registry(args: argparse.Namespace):
     """A fresh registry when ``--metrics PATH`` was given, else ``None``."""
     if not getattr(args, "metrics", None):
@@ -469,6 +395,27 @@ def _write_metrics(args: argparse.Namespace, registry, manifest=None) -> None:
     else:
         write_metrics_json(args.metrics, registry, manifest)
     print(f"metrics written to {args.metrics}", file=sys.stderr)
+
+
+def _run_recorded(args: argparse.Namespace, run: Callable[[Any], Any],
+                  record: Callable[[Any], Dict[str, Any]]) -> Any:
+    """``run(registry)`` timed; under ``--metrics PATH``, its run record.
+
+    The registry is ``None`` without ``--metrics``. ``record(outcome)``
+    gives the :func:`repro.metrics.manifest.run_manifest` fields of the
+    command's record, whose wall time is the time ``run`` took.
+    """
+    registry = _metrics_registry(args)
+    wall_start = time.perf_counter()
+    outcome = run(registry)
+    if registry is not None:
+        from repro.metrics.manifest import run_manifest
+
+        _write_metrics(args, registry, run_manifest(
+            registry, wall_time_s=time.perf_counter() - wall_start,
+            **record(outcome),
+        ))
+    return outcome
 
 
 class _SweepStudies:
@@ -519,9 +466,9 @@ def _cmd_sweep_envelope(args: argparse.Namespace) -> int:
     """
     from repro.analysis.report import render_envelope
     from repro.experiments.sweeps import envelope_verdict, sweep_envelope
+    from repro.parallel import config_fingerprint
     from repro.sim.timebase import SECONDS
 
-    registry = _metrics_registry(args)
     duration = round((args.duration if args.duration is not None else 120.0)
                      * SECONDS)
     kwargs: Dict[str, Any] = {}
@@ -537,17 +484,12 @@ def _cmd_sweep_envelope(args: argparse.Namespace) -> int:
         # A single named arm (the CI smoke path): no adversarial arm.
         kwargs["scenarios"] = (args.scenario,)
         kwargs["attack_check"] = False
-    wall_start = time.perf_counter()
-    rows = sweep_envelope(
-        seed=args.seed, duration=duration, metrics=registry, **kwargs
-    )
-    verdict = envelope_verdict(rows)
-    if registry is not None:
-        from repro.metrics import RunManifest
-        from repro.parallel import config_fingerprint
-
-        events = registry.counters.get("experiment.events_dispatched")
-        _write_metrics(args, registry, RunManifest(
+    rows = _run_recorded(
+        args,
+        lambda registry: sweep_envelope(
+            seed=args.seed, duration=duration, metrics=registry, **kwargs
+        ),
+        lambda rows: dict(
             experiment="sweep:envelope",
             config_fingerprint=config_fingerprint(
                 "sweep-cli", "envelope", args.seed, duration,
@@ -555,9 +497,7 @@ def _cmd_sweep_envelope(args: argparse.Namespace) -> int:
             ),
             seeds=[args.seed],
             sim_duration_ns=duration,
-            wall_time_s=time.perf_counter() - wall_start,
-            events_dispatched=events.value if events is not None else None,
-            verdict=verdict,
+            verdict=envelope_verdict(rows),
             verdict_detail={
                 "rows": {
                     (f"{r.scenario}+{r.attack}" if r.attack else r.scenario):
@@ -576,7 +516,9 @@ def _cmd_sweep_envelope(args: argparse.Namespace) -> int:
                     and kwargs["cache"].disabled
                 ),
             },
-        ))
+        ),
+    )
+    verdict = envelope_verdict(rows)
     payload = {
         "study": "envelope",
         "verdict": verdict,
@@ -608,34 +550,33 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         render_rows,
     )
     from repro.monitoring import worst_status
+    from repro.parallel import config_fingerprint
     from repro.sim.timebase import SECONDS
 
     spec = _scenario_of(args)
-    registry = _metrics_registry(args)
     run_kwargs = _executor_kwargs(args)
     if args.duration is not None:
         run_kwargs["duration"] = round(args.duration * SECONDS)
     duration = run_kwargs.get("duration", axis_duration(args.study))
-    wall_start = time.perf_counter()
-    rows = SWEEP_AXES[args.study](
-        seed=args.seed, scenario=spec, metrics=registry,
-        fidelity=args.fidelity, **run_kwargs,
-    )
-    budget = None
-    if args.study == "attackbudget":
-        design = _design_spec(spec)
-        budget = dict(
-            breaking_point(rows),
-            design_f=design.f,
-            domains=design.effective_domains,
-            floor_m=3 * design.f + 1,
-        )
-    if registry is not None:
-        from repro.metrics import RunManifest
-        from repro.parallel import config_fingerprint
 
-        events = registry.counters.get("experiment.events_dispatched")
-        _write_metrics(args, registry, RunManifest(
+    def budget_of(rows) -> Optional[Dict[str, Any]]:
+        if args.study != "attackbudget":
+            return None
+        return {**breaking_point(rows), **_design_budget(spec)}
+
+    def record(rows) -> Dict[str, Any]:
+        extra: Dict[str, Any] = {"points": len(rows)}
+        budget = budget_of(rows)
+        if budget is not None:
+            budget["first_fail_colluders"] = budget.pop("first_fail")
+            extra.update(budget)
+        extra["cache_disabled"] = bool(
+            run_kwargs.get("cache") is not None
+            and run_kwargs["cache"].disabled
+        )
+        if args.fidelity != "full":
+            extra["fidelity"] = args.fidelity
+        return dict(
             experiment=f"sweep:{args.study}",
             config_fingerprint=config_fingerprint(
                 "sweep-cli", args.study, args.seed, duration,
@@ -643,34 +584,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             ),
             seeds=[args.seed],
             sim_duration_ns=duration,
-            wall_time_s=time.perf_counter() - wall_start,
-            events_dispatched=events.value if events is not None else None,
-            scenario=spec.name if spec else None,
-            scenario_fingerprint=spec.fingerprint() if spec else None,
+            scenario=spec,
             verdict=worst_status(r.verdict for r in rows),
             verdict_detail={
                 "rows": {f"{r.parameter}={r.value}": r.verdict for r in rows},
             },
-            extra=dict(
-                (
-                    {"points": len(rows)} if budget is None
-                    else dict(
-                        points=len(rows),
-                        f_actual=budget["f_actual"],
-                        first_fail_colluders=budget["first_fail"],
-                        design_f=budget["design_f"],
-                        domains=budget["domains"],
-                        floor_m=budget["floor_m"],
-                    )
-                ),
-                cache_disabled=bool(
-                    run_kwargs.get("cache") is not None
-                    and run_kwargs["cache"].disabled
-                ),
-                **({"fidelity": args.fidelity}
-                   if args.fidelity != "full" else {}),
-            ),
-        ))
+            extra=extra,
+        )
+
+    rows = _run_recorded(
+        args,
+        lambda registry: SWEEP_AXES[args.study](
+            seed=args.seed, scenario=spec, metrics=registry,
+            fidelity=args.fidelity, **run_kwargs,
+        ),
+        record,
+    )
+    budget = budget_of(rows)
     payload = {
         "study": args.study,
         "verdict": worst_status(r.verdict for r in rows),
@@ -826,45 +756,35 @@ def cmd_study(args: argparse.Namespace) -> int:
             return 2
     exec_kwargs = _executor_kwargs(args)
     cache = exec_kwargs.get("cache")
-    registry = _metrics_registry(args)
     if args.fail_fast:
         on_error = "raise"
     elif getattr(args, "quarantine", False):
         on_error = "quarantine"
     else:
         on_error = "continue"
-    wall_start = time.perf_counter()
-    try:
-        run = run_study(
-            plan.study,
-            metrics=registry,
-            ledger=ledger,
-            progress=_progress_printer(),
-            max_jobs=args.max_jobs,
-            on_error=on_error,
-            faults=faults,
-            retry_policy=_retry_policy(args),
-            **exec_kwargs,
-        )
-    except StudyInterrupted as exc:
-        run = exc.run
-    except InjectedCrash as exc:
-        # A --fault-plan simulated the process dying. The ledger on disk
-        # is the resumable state a real kill would leave behind.
-        print(f"study killed by injected fault: {exc}", file=sys.stderr)
-        print(f"resume with: study resume {ledger_path}", file=sys.stderr)
-        return 4
-    if registry is not None:
-        from repro.metrics import RunManifest
 
-        events = registry.counters.get("experiment.events_dispatched")
-        _write_metrics(args, registry, RunManifest(
+    def run_plan(registry):
+        try:
+            return run_study(
+                plan.study,
+                metrics=registry,
+                ledger=ledger,
+                progress=_progress_printer(),
+                max_jobs=args.max_jobs,
+                on_error=on_error,
+                faults=faults,
+                retry_policy=_retry_policy(args),
+                **exec_kwargs,
+            )
+        except StudyInterrupted as exc:
+            return exc.run
+
+    try:
+        run = _run_recorded(args, run_plan, lambda run: dict(
             experiment=f"study:{spec_name(spec)}",
             config_fingerprint=plan.study.fingerprint(),
             seeds=sorted({j.seed for j in plan.study.jobs
                           if j.seed is not None}),
-            wall_time_s=time.perf_counter() - wall_start,
-            events_dispatched=events.value if events is not None else None,
             extra={
                 "ledger": ledger_path,
                 "executed": len(run.executed),
@@ -885,6 +805,12 @@ def cmd_study(args: argparse.Namespace) -> int:
                 "salvaged": salvaged,
             },
         ))
+    except InjectedCrash as exc:
+        # A --fault-plan simulated the process dying. The ledger on disk
+        # is the resumable state a real kill would leave behind.
+        print(f"study killed by injected fault: {exc}", file=sys.stderr)
+        print(f"resume with: study resume {ledger_path}", file=sys.stderr)
+        return 4
     payload = run_payload(spec, plan, run)
     payload["ledger"] = ledger_path
     payload["cache_quarantined"] = int(getattr(cache, "quarantined", 0)
@@ -1138,6 +1064,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_export)
 
+    def add_chaos_run_flags(p: argparse.ArgumentParser) -> None:
+        """The flags of the one run ``chaos`` and ``campaign`` share."""
+        p.add_argument("--duration", type=float, default=480.0,
+                       help="seconds of simulated time (default: %(default)s)")
+        p.add_argument("--seed", type=int, default=1)
+        p.add_argument("--metrics", metavar="PATH",
+                       help="record run metrics and write them to PATH "
+                            "(.csv → CSV, anything else → JSON)")
+        add_scenario_flag(p)
+        add_fidelity_flag(p)
+        p.add_argument("--json", action="store_true")
+
     p = sub.add_parser("chaos", help="chaos plan under the invariant monitor")
     p.add_argument("--plan", metavar="PATH",
                    help="declarative chaos plan JSON "
@@ -1151,15 +1089,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss-end", type=float, default=None,
                    help="seconds at which the --loss impairment clears "
                         "(default: never)")
-    p.add_argument("--duration", type=float, default=480.0,
-                   help="seconds of simulated time (default: %(default)s)")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--metrics", metavar="PATH",
-                   help="record run metrics and write them to PATH "
-                        "(.csv → CSV, anything else → JSON)")
-    add_scenario_flag(p)
-    add_fidelity_flag(p)
-    p.add_argument("--json", action="store_true")
+    add_chaos_run_flags(p)
     p.set_defaults(func=cmd_chaos)
 
     p = sub.add_parser("campaign",
@@ -1179,15 +1109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stop", type=float, default=None,
                    help="seconds at which the colluders stop (default: "
                         "never)")
-    p.add_argument("--duration", type=float, default=480.0,
-                   help="seconds of simulated time (default: %(default)s)")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--metrics", metavar="PATH",
-                   help="record run metrics and write them to PATH "
-                        "(.csv → CSV, anything else → JSON)")
-    add_scenario_flag(p)
-    add_fidelity_flag(p)
-    p.add_argument("--json", action="store_true")
+    add_chaos_run_flags(p)
     p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser("linkfail", help="trunk-failure experiment")

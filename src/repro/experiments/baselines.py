@@ -22,7 +22,7 @@ from repro.core.aggregator import AggregatorConfig
 from repro.measurement.bounds import ExperimentBounds
 from repro.security.attacker import Attacker, AttackerConfig
 from repro.sim.timebase import HOURS, MICROSECONDS, MINUTES, SECONDS
-from repro.experiments.testbed import Testbed, TestbedConfig
+from repro.experiments.testbed import Testbed, resolve_testbed_config
 
 
 @dataclass
@@ -46,15 +46,6 @@ class BaselineResult:
         if self.bounds is not None:
             lines.insert(1, self.bounds.describe())
         return "\n".join(lines)
-
-
-def _scenario_base(scenario, seed: int) -> TestbedConfig:
-    """Anchor config for a baseline arm: a scenario's, or the paper mesh4."""
-    if scenario is None:
-        return TestbedConfig(seed=seed)
-    from repro.scenarios import resolve_scenario
-
-    return resolve_scenario(scenario).testbed_config(seed=seed)
 
 
 def _collect(testbed: Testbed, duration: int, spread_samples: int = 60) -> BaselineResult:
@@ -93,7 +84,7 @@ def run_single_domain_baseline(
     the single-domain premise.
     """
     config = replace(
-        _scenario_base(scenario, seed),
+        resolve_testbed_config(scenario, seed),
         n_domains=1,
         aggregator=AggregatorConfig(
             domains=(1,), f=0, initial_domain=1, startup_confirmations=4
@@ -130,7 +121,7 @@ def run_client_only_baseline(
     duration.
     """
     testbed = Testbed(
-        replace(_scenario_base(scenario, seed), aggregate_on_gms=False)
+        replace(resolve_testbed_config(scenario, seed), aggregate_on_gms=False)
     )
     result = _collect(testbed, duration)
     result.label = "client-only aggregation (free-running GMs)"
@@ -142,7 +133,7 @@ def run_full_architecture(
     duration: int = 10 * MINUTES, seed: int = 1, scenario=None
 ) -> BaselineResult:
     """The paper's architecture, for side-by-side comparison."""
-    testbed = Testbed(_scenario_base(scenario, seed))
+    testbed = Testbed(resolve_testbed_config(scenario, seed))
     result = _collect(testbed, duration)
     result.label = "multi-domain FTA (this paper)"
     result.bounds = testbed.derive_bounds()

@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -25,11 +24,10 @@ from typing import Dict, List, Optional, Sequence
 # loads with this module rather than inside the first run.
 import repro.chaos.orchestrator  # noqa: F401
 from repro.chaos.plan import ChaosPlan, merge_plans
-from repro.faults.injector import FaultInjectionConfig, FaultInjector
+from repro.faults.injector import FaultInjectionConfig
 from repro.security.campaigns import AttackCampaign
 from repro.measurement.bounds import ExperimentBounds
 from repro.monitoring.invariants import (
-    InvariantMonitor,
     InvariantSpec,
     InvariantViolation,
     Verdict,
@@ -39,7 +37,8 @@ from repro.scenarios import ScenarioSpec
 from repro.sim.timebase import MINUTES, SECONDS, format_hms
 from repro.studies.core import Job, Study, StudyPlan
 from repro.studies.runner import run_study
-from repro.experiments.testbed import Testbed, TestbedConfig
+from repro.experiments.monitored import run_monitored
+from repro.experiments.testbed import resolve_testbed_config
 
 
 @dataclass(frozen=True)
@@ -175,55 +174,19 @@ def run_chaos_experiment(
 ) -> ChaosResult:
     """Run one scenario under its chaos plan with the monitor attached."""
     config = config if config is not None else ChaosExperimentConfig()
-    wall_start = time.perf_counter() if metrics is not None else 0.0
-    if config.scenario is not None:
-        tb_config = config.scenario.testbed_config(seed=config.seed)
-    else:
-        tb_config = TestbedConfig(seed=config.seed)
+    tb_config = resolve_testbed_config(config.scenario, config.seed)
     plan = config.resolved_plan()
     if plan is not None and tb_config.chaos is not plan:
         tb_config = dataclasses.replace(tb_config, chaos=plan)
-    testbed = Testbed(tb_config, metrics=metrics, fidelity=config.fidelity)
-
-    injections: Dict[str, int] = {}
-    injector = None
-    if config.injector is not None:
-        injector_config = config.injector
-        if testbed.measurement_vm_name not in injector_config.exclude:
-            injector_config = dataclasses.replace(
-                injector_config,
-                exclude=tuple(injector_config.exclude)
-                + (testbed.measurement_vm_name,),
-            )
-        injector = FaultInjector(
-            testbed.sim,
-            list(testbed.nodes.values()),
-            injector_config,
-            testbed.rng.stream("fault-injector"),
-            testbed.trace,
-        )
-        injector.start()
-
-    monitor = InvariantMonitor(
-        testbed,
-        config.invariants,
-        metrics=metrics,
+    testbed, monitor, injector = run_monitored(
+        tb_config,
+        config.duration,
+        invariants=config.invariants,
         f=config.scenario.f if config.scenario is not None else None,
+        injector=config.injector,
+        metrics=metrics,
+        fidelity=config.fidelity,
     )
-    monitor.start()
-    testbed.run_until(config.duration)
-
-    if injector is not None:
-        injections = injector.summary()
-    if metrics is not None:
-        testbed.publish_metrics()
-        wall = time.perf_counter() - wall_start
-        metrics.counter("experiment.runs").inc()
-        if wall > 0:
-            metrics.gauge("experiment.events_per_sec").set(
-                testbed.sim.dispatched_events / wall
-            )
-
     bounds = testbed.derive_bounds()
     precisions = [r.precision for r in testbed.series.records]
     worst = testbed.series.max_record()
@@ -242,7 +205,7 @@ def run_chaos_experiment(
         bound_violations=len(
             testbed.series.violations(bounds.bound_with_error)
         ),
-        injections=injections,
+        injections=injector.summary() if injector is not None else {},
         fastforward=testbed.fastforward_summary(),
     )
 

@@ -17,8 +17,8 @@ shift preciseOriginTimestamp by −24 µs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional
 
 from repro.analysis.aggregate import AggregateBucket, aggregate_series
 from repro.measurement.bounds import ExperimentBounds
@@ -32,7 +32,11 @@ from repro.sim.timebase import (
     format_hms,
     parse_hms,
 )
-from repro.experiments.testbed import Testbed, TestbedConfig
+from repro.experiments.testbed import (
+    Testbed,
+    TestbedConfig,
+    resolve_testbed_config,
+)
 
 
 @dataclass(frozen=True)
@@ -56,16 +60,13 @@ class CyberExperimentConfig:
 
     def scaled(self, factor: float) -> "CyberExperimentConfig":
         """Proportionally compress the timeline (CI-scale runs)."""
-        return CyberExperimentConfig(
-            kernel_policy=self.kernel_policy,
-            duration=round(self.duration * factor),
+        duration = round(self.duration * factor)
+        return replace(
+            self,
+            duration=duration,
             first_attack=round(self.first_attack * factor),
             second_attack=round(self.second_attack * factor),
-            first_target=self.first_target,
-            second_target=self.second_target,
-            origin_shift=self.origin_shift,
-            seed=self.seed,
-            settle_margin=min(self.settle_margin, round(self.duration * factor) // 20),
+            settle_margin=min(self.settle_margin, duration // 20),
         )
 
 
@@ -134,19 +135,9 @@ def run_cyber_experiment(
     config = config if config is not None else CyberExperimentConfig()
     if not config.first_attack < config.second_attack < config.duration:
         raise ValueError("attack times must be ordered and inside the run")
-    if testbed_config is not None:
-        tb_config = testbed_config
-    elif scenario is not None:
-        from repro.scenarios import resolve_scenario
-
-        tb_config = resolve_scenario(scenario).testbed_config(
-            seed=config.seed, kernel_policy=config.kernel_policy
-        )
-    else:
-        tb_config = TestbedConfig(
-            seed=config.seed, kernel_policy=config.kernel_policy
-        )
-    testbed = Testbed(tb_config)
+    testbed = Testbed(testbed_config or resolve_testbed_config(
+        scenario, config.seed, kernel_policy=config.kernel_policy
+    ))
     attacker = Attacker(
         testbed.sim,
         {name: testbed.vms[name] for name in (config.first_target, config.second_target)},

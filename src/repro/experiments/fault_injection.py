@@ -16,20 +16,20 @@ the derived bounds.
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.analysis.aggregate import AggregateBucket, aggregate_series
 from repro.analysis.histogram import HistogramResult, histogram
 from repro.analysis.timeline import EventTimeline, extract_timeline
-from repro.faults.injector import FaultInjectionConfig, FaultInjector
+from repro.faults.injector import FaultInjectionConfig
 from repro.faults.transient import TransientFaultPlan, calibrate_transients
 from repro.measurement.bounds import ExperimentBounds
 from repro.measurement.precision import PrecisionRecord
-from repro.monitoring.invariants import InvariantMonitor, InvariantSpec, Verdict
+from repro.monitoring.invariants import InvariantSpec, Verdict
 from repro.sim.timebase import HOURS, MINUTES, SECONDS, format_hms
-from repro.experiments.testbed import Testbed, TestbedConfig
+from repro.experiments.monitored import run_monitored
+from repro.experiments.testbed import TestbedConfig
 from repro.scenarios import ScenarioSpec
 
 
@@ -68,26 +68,22 @@ class FaultInjectionExperimentConfig:
         # cap of 12 random failures per hour with 5-minute gaps — beyond
         # that the "sibling is a valid backup" precondition of the fail-
         # silent hypothesis stops holding and skips dominate.
-        injector = FaultInjectionConfig(
+        injector = dataclasses.replace(
+            self.injector,
             gm_shutdown_period=max(
                 3 * MINUTES, round(self.injector.gm_shutdown_period * factor)
             ),
             redundant_rate_per_hour=min(
                 12.0, self.injector.redundant_rate_per_hour / factor
             ),
-            min_gap=self.injector.min_gap,
-            exclude=self.injector.exclude,
             initial_delay=max(MINUTES, round(self.injector.initial_delay * factor)),
         )
-        return FaultInjectionExperimentConfig(
+        return dataclasses.replace(
+            self,
             duration=duration,
-            seed=self.seed,
             injector=injector,
-            transients=self.transients,
             aggregate_bucket=max(10 * SECONDS, round(self.aggregate_bucket * factor)),
             timeline_window=max(5 * MINUTES, round(self.timeline_window * factor)),
-            scenario=self.scenario,
-            invariants=self.invariants,
         )
 
 
@@ -149,30 +145,17 @@ def run_fault_injection_experiment(
     The testbed comes from ``testbed_config`` when given, else from
     ``config.scenario``, else from the paper's mesh4 defaults. A scenario
     without its own fault plan still gets the paper-calibrated transient
-    pressure — this is the fault-injection experiment.
+    pressure — this is the fault-injection experiment. The monitor grades
+    with ``config.scenario``'s f, and rejects a ``testbed_config`` that
+    aggregates with another.
 
     ``metrics`` (an optional :class:`repro.metrics.MetricsRegistry`)
     enables in-sim instrumentation for the run plus per-run wall-time and
     event-throughput series; it never alters the simulation itself.
     """
     config = config if config is not None else FaultInjectionExperimentConfig()
-    wall_start = time.perf_counter() if metrics is not None else 0.0
     transients = config.transients or calibrate_transients()
     if testbed_config is not None:
-        # An explicit testbed_config wins over config.scenario — but the
-        # two must agree on the fault hypothesis, or the monitor would
-        # grade the valid floor with a different f than the scenario
-        # declares. This used to pass silently.
-        if (
-            config.scenario is not None
-            and testbed_config.aggregator.f != config.scenario.f
-        ):
-            raise ValueError(
-                f"fault hypothesis mismatch: scenario "
-                f"{config.scenario.name!r} declares f={config.scenario.f} "
-                f"but testbed_config aggregates with "
-                f"f={testbed_config.aggregator.f}"
-            )
         tb_config = testbed_config
     elif config.scenario is not None:
         tb_config = config.scenario.testbed_config(seed=config.seed)
@@ -184,51 +167,14 @@ def run_fault_injection_experiment(
             kernel_policy="diverse",
             transients=transients,
         )
-    testbed = Testbed(tb_config, metrics=metrics)
-    injector_config = config.injector
-    if testbed.measurement_vm_name not in injector_config.exclude:
-        # Keep the probe stream alive, as the paper's continuous series implies.
-        injector_config = FaultInjectionConfig(
-            gm_shutdown_period=injector_config.gm_shutdown_period,
-            redundant_rate_per_hour=injector_config.redundant_rate_per_hour,
-            min_gap=injector_config.min_gap,
-            exclude=tuple(injector_config.exclude) + (testbed.measurement_vm_name,),
-            initial_delay=injector_config.initial_delay,
-        )
-    injector = FaultInjector(
-        testbed.sim,
-        list(testbed.nodes.values()),
-        injector_config,
-        testbed.rng.stream("fault-injector"),
-        testbed.trace,
-    )
-    injector.start()
-    monitor = InvariantMonitor(
-        testbed,
-        config.invariants,
-        metrics=metrics,
+    testbed, monitor, injector = run_monitored(
+        tb_config,
+        config.duration,
+        invariants=config.invariants,
         f=config.scenario.f if config.scenario is not None else None,
+        injector=config.injector,
+        metrics=metrics,
     )
-    monitor.start()
-    testbed.run_until(config.duration)
-
-    if metrics is not None:
-        from repro.metrics.registry import WALL_S_BUCKETS
-
-        testbed.publish_metrics()
-        wall = time.perf_counter() - wall_start
-        metrics.counter("experiment.runs").inc()
-        metrics.counter("experiment.events_dispatched").inc(
-            testbed.sim.dispatched_events
-        )
-        metrics.histogram(
-            "experiment.run_wall_s", edges=WALL_S_BUCKETS
-        ).observe(wall)
-        if wall > 0:
-            metrics.gauge("experiment.events_per_sec").set(
-                testbed.sim.dispatched_events / wall
-            )
-
     bounds = testbed.derive_bounds()
     records = list(testbed.series.records)
     precisions = [r.precision for r in records]

@@ -21,7 +21,11 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.measurement.bounds import ExperimentBounds
 from repro.monitoring.invariants import InvariantMonitor, Verdict
 from repro.sim.timebase import MINUTES, SECONDS
-from repro.experiments.testbed import Testbed, TestbedConfig
+from repro.experiments.testbed import (
+    Testbed,
+    TestbedConfig,
+    resolve_testbed_config,
+)
 
 
 @dataclass(frozen=True)
@@ -100,13 +104,9 @@ def run_link_failure_experiment(
     testbed when ``testbed_config`` is not given.
     """
     config = config if config is not None else LinkFailureConfig()
-    if testbed_config is None and scenario is not None:
-        from repro.scenarios import resolve_scenario
-
-        testbed_config = resolve_scenario(scenario).testbed_config(
-            seed=config.seed
-        )
-    testbed = Testbed(testbed_config or TestbedConfig(seed=config.seed))
+    testbed = Testbed(
+        testbed_config or resolve_testbed_config(scenario, config.seed)
+    )
     sw_m = f"sw{testbed.config.measurement_device}"
     victim = config.trunk
     if victim is None:

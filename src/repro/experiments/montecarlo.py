@@ -28,7 +28,7 @@ from repro.experiments.fault_injection import (
     FaultInjectionResult,
     run_fault_injection_experiment,
 )
-from repro.metrics.manifest import RunManifest
+from repro.metrics.manifest import RunManifest, run_manifest
 from repro.monitoring.invariants import DEGRADED, FAIL, PASS, worst_status
 from repro.parallel import ResultsCache, config_fingerprint
 from repro.studies.core import Job, Study, StudyPlan
@@ -140,16 +140,7 @@ def _seed_config(
     base: FaultInjectionExperimentConfig, seed: int, hours: float
 ) -> FaultInjectionExperimentConfig:
     """The fully scaled configuration of one arm — also its cache identity."""
-    return FaultInjectionExperimentConfig(
-        duration=base.duration,
-        seed=seed,
-        injector=base.injector,
-        transients=base.transients,
-        aggregate_bucket=base.aggregate_bucket,
-        timeline_window=base.timeline_window,
-        scenario=base.scenario,
-        invariants=base.invariants,
-    ).scaled(hours)
+    return replace(base, seed=seed).scaled(hours)
 
 
 def _outcome_of(seed: int, result: FaultInjectionResult) -> SeedOutcome:
@@ -244,18 +235,14 @@ def compile_monte_carlo(
         outcomes = [_canonical(o) for o in run.collected()]
         manifest = None
         if metrics is not None:
-            events = metrics.counters.get("experiment.events_dispatched")
-            manifest = RunManifest(
+            manifest = run_manifest(
+                metrics,
                 experiment="monte_carlo",
                 config_fingerprint=_cache_key(base, runner),
-                seeds=list(seeds),
-                sim_duration_ns=configs[0].duration if configs else None,
                 wall_time_s=time.perf_counter() - wall_start,
-                events_dispatched=events.value if events is not None else None,
-                scenario=base.scenario.name if base.scenario else None,
-                scenario_fingerprint=(
-                    base.scenario.fingerprint() if base.scenario else None
-                ),
+                seeds=seeds,
+                sim_duration_ns=configs[0].duration,
+                scenario=base.scenario,
                 verdict=worst_status(o.verdict for o in outcomes),
                 verdict_detail={
                     "arms": _status_counts(outcomes),

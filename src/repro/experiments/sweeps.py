@@ -12,19 +12,16 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.plan import merge_plans, single_loss_plan
-from repro.core.aggregator import AggregatorConfig
-from repro.experiments.testbed import Testbed, TestbedConfig
-from repro.monitoring.invariants import (
-    DEGRADED,
-    PASS,
-    InvariantMonitor,
-    InvariantSpec,
-)
-from repro.scenarios import ScenarioSpec, resolve_scenario
+from repro.core.aggregator import AggregatorMode
+from repro.experiments.monitored import run_monitored
+from repro.experiments.testbed import TestbedConfig, resolve_testbed_config
+from repro.monitoring.invariants import DEGRADED, PASS, InvariantSpec
+from repro.scenarios import resolve_scenario
 from repro.parallel import ResultsCache, config_fingerprint
+from repro.security.campaigns import colluder_campaign
 from repro.sim.timebase import MILLISECONDS, MINUTES, SECONDS
 from repro.studies.core import Job, Study, StudyPlan
 from repro.studies.runner import StudyRun, run_study
@@ -57,14 +54,13 @@ class SweepRow:
         }
 
 
-def _measure(testbed: Testbed, duration: int, warmup_records: int) -> SweepRow:
-    monitor = InvariantMonitor(testbed, metrics=testbed.metrics)
-    monitor.start()
-    testbed.run_until(duration)
-    bounds = testbed.derive_bounds()
+def _steady_state(testbed, monitor,
+                  warmup_records: int) -> Tuple[float, float, bool, str]:
+    """Of a :func:`run_monitored` testbed and monitor: average and worst
+    precision after ``warmup_records`` probes (NaN when none are left),
+    whether every aggregator converged, and the monitor's verdict
+    (DEGRADED for an unconverged run it passed)."""
     records = testbed.series.records[warmup_records:]
-    from repro.core.aggregator import AggregatorMode
-
     converged = all(
         vm.aggregator.mode is AggregatorMode.FAULT_TOLERANT
         for vm in testbed.vms.values()
@@ -78,15 +74,7 @@ def _measure(testbed: Testbed, duration: int, warmup_records: int) -> SweepRow:
     verdict = monitor.verdict().status
     if not converged and verdict == PASS:
         verdict = DEGRADED
-    return SweepRow(
-        parameter="",
-        value=None,
-        bound_ns=bounds.precision_bound,
-        avg_precision_ns=avg,
-        max_precision_ns=worst,
-        converged=converged,
-        verdict=verdict,
-    )
+    return avg, worst, converged, verdict
 
 
 #: Default simulated time per sweep arm: long enough to measure the
@@ -104,15 +92,19 @@ def _run_sweep_point(
     the frozen :class:`TestbedConfig` dataclass crosses the process
     boundary — the (often lambda) factory never has to be picklable.
     """
-    testbed = Testbed(config, metrics=metrics, fidelity=fidelity)
-    row = _measure(testbed, duration, warmup_records)
-    if metrics is not None:
-        testbed.publish_metrics()
-        metrics.counter("experiment.runs").inc()
-        metrics.counter("experiment.events_dispatched").inc(
-            testbed.sim.dispatched_events
-        )
-    return row
+    testbed, monitor, _ = run_monitored(config, duration, metrics=metrics,
+                                        fidelity=fidelity)
+    avg, worst, converged, verdict = _steady_state(testbed, monitor,
+                                                   warmup_records)
+    return SweepRow(
+        parameter="",
+        value=None,
+        bound_ns=testbed.derive_bounds().precision_bound,
+        avg_precision_ns=avg,
+        max_precision_ns=worst,
+        converged=converged,
+        verdict=verdict,
+    )
 
 
 def _summarize_row(row: SweepRow) -> Dict[str, Any]:
@@ -227,16 +219,15 @@ def sweep(
 # ----------------------------------------------------------------------
 # Canned sweeps for the DESIGN.md design choices
 # ----------------------------------------------------------------------
-def _base_config(scenario, seed: int) -> TestbedConfig:
-    """The sweep's anchor configuration: a scenario's, or the paper mesh4.
-
-    ``scenario`` takes a spec, a registered name, or a JSON path (anything
-    :func:`repro.scenarios.resolve_scenario` accepts); each canned sweep
-    then varies exactly one axis off the anchor via ``dataclasses.replace``.
-    """
-    if scenario is None:
-        return TestbedConfig(seed=seed)
-    return resolve_scenario(scenario).testbed_config(seed=seed)
+def _with_colluders(base: TestbedConfig, colluders: int,
+                    **campaign) -> TestbedConfig:
+    """``base`` with ``colluders`` of its GMs colluding in-window, the
+    :func:`repro.security.campaigns.colluder_campaign` (``campaign`` is
+    its keywords) merged onto ``base``'s own chaos plan."""
+    plan = colluder_campaign(colluders, base.gm_names(), **campaign).compile()
+    if base.chaos is not None:
+        plan = merge_plans(base.chaos, plan)
+    return replace(base, chaos=plan)
 
 
 def sweep_domain_count(
@@ -246,7 +237,7 @@ def sweep_domain_count(
 
     ``values`` are device counts, one domain per device.
     """
-    base = _base_config(scenario, seed)
+    base = resolve_testbed_config(scenario, seed)
     return sweep(
         "n_domains",
         values,
@@ -263,7 +254,7 @@ def sweep_sync_interval(
 
     ``values`` are Sync intervals in milliseconds.
     """
-    base = _base_config(scenario, seed)
+    base = resolve_testbed_config(scenario, seed)
     return sweep(
         "sync_interval_ms",
         values,
@@ -288,7 +279,7 @@ def sweep_aggregation(
 
     ``values`` are aggregation function names.
     """
-    base = _base_config(scenario, seed)
+    base = resolve_testbed_config(scenario, seed)
     return sweep(
         "aggregation",
         values,
@@ -310,7 +301,7 @@ def sweep_validity_threshold(
     """
     from repro.core.validity import ValidityConfig
 
-    base = _base_config(scenario, seed)
+    base = resolve_testbed_config(scenario, seed)
     return sweep(
         "validity_threshold_us",
         values,
@@ -340,7 +331,7 @@ def sweep_topology(
     from its GM; ring/line/star stretch some domain trees over multiple
     trunks, widening [d_min, d_max] and with it Π = u(N, f)·(E + Γ).
     """
-    base = _base_config(scenario, seed)
+    base = resolve_testbed_config(scenario, seed)
     return sweep(
         "topology",
         values,
@@ -359,7 +350,7 @@ def sweep_hop_count(
     adds one trunk + one switch residence to the longest GM→VM path. The
     floor is 4: with M = N domains and f = 1 the FTA needs M ≥ 3f + 1.
     """
-    base = _base_config(scenario, seed)
+    base = resolve_testbed_config(scenario, seed)
     return sweep(
         "line_devices",
         values,
@@ -381,7 +372,7 @@ def sweep_fault_budget(
     the 3f+1 floor, so the tight arms should show visibly looser bounds
     than their M = 3f+2 neighbours.
     """
-    base = _base_config(scenario, seed)
+    base = resolve_testbed_config(scenario, seed)
     return sweep(
         "(f, M)",
         [tuple(fm) for fm in values],
@@ -414,7 +405,7 @@ def sweep_loss_rate(
     (``loss_start``) so every arm measures the impaired steady state, not
     a cold start that never converges.
     """
-    base = _base_config(scenario, seed)
+    base = resolve_testbed_config(scenario, seed)
 
     def cfg(loss: float) -> TestbedConfig:
         if loss <= 0.0:
@@ -458,25 +449,12 @@ def sweep_attack_budget(
     crosses Π+γ (on the paper mesh, seed 9, k=2 breaks the bound at
     t ≈ 800 s).
     """
-    from repro.security.campaigns import colluder_campaign, default_gm_names
-
-    base = _base_config(scenario, seed)
-    spec = resolve_scenario(scenario) if scenario is not None else None
-    gm_names = default_gm_names(
-        base.n_devices,
-        n_domains=spec.effective_domains if spec is not None else None,
-        gm_placement=base.gm_placement,
-    )
+    base = resolve_testbed_config(scenario, seed)
 
     def cfg(k: int) -> TestbedConfig:
         if k <= 0:
             return base
-        campaign = colluder_campaign(k, gm_names, margin=margin,
-                                     start=attack_start)
-        plan = campaign.compile()
-        if base.chaos is not None:
-            plan = merge_plans(base.chaos, plan)
-        return replace(base, chaos=plan)
+        return _with_colluders(base, k, margin=margin, start=attack_start)
 
     return sweep("colluders", values, cfg, duration=duration, **kwargs)
 
@@ -603,51 +581,27 @@ def _run_envelope_arm(
 ) -> EnvelopeRow:
     """One envelope arm: run graded against the *predicted* bound.
 
-    Unlike :func:`_measure`, the monitor here carries
+    Unlike a sweep arm, the monitor here carries
     ``bound_source="predicted"`` — synctime violations are judged against
     the closed-form envelope, with the measured Π+γ demoted to the
     secondary ``synctime_bound_measured`` threshold.
     """
-    testbed = Testbed(config, metrics=metrics, fidelity=fidelity)
-    monitor = InvariantMonitor(
-        testbed,
-        InvariantSpec(bound_source="predicted"),
-        metrics=metrics,
+    testbed, monitor, _ = run_monitored(
+        config,
+        duration,
+        invariants=InvariantSpec(bound_source="predicted"),
         f=f,
+        metrics=metrics,
+        fidelity=fidelity,
     )
-    monitor.start()
-    testbed.run_until(duration)
     bounds = testbed.derive_bounds()
     predicted = bounds.predicted
     assert predicted is not None  # derive_bounds always attaches one
     # Short smoke arms (e.g. the CI 60 s mesh4 run) may not outlast the
     # full warmup prefix; grade the back half rather than nothing.
-    all_records = testbed.series.records
-    warmup = min(warmup_records, len(all_records) // 2)
-    records = all_records[warmup:]
-    from repro.core.aggregator import AggregatorMode
-
-    converged = all(
-        vm.aggregator.mode is AggregatorMode.FAULT_TOLERANT
-        for vm in testbed.vms.values()
-    )
-    if records:
-        precisions = [r.precision for r in records]
-        avg = sum(precisions) / len(precisions)
-        worst = max(precisions)
-    else:
-        avg = worst = float("nan")
-    verdict = monitor.verdict().status
-    if not converged and verdict == PASS:
-        verdict = DEGRADED
-    if metrics is not None:
-        testbed.publish_metrics()
-        metrics.counter("experiment.runs").inc()
-        metrics.counter("experiment.events_dispatched").inc(
-            testbed.sim.dispatched_events
-        )
+    warmup = min(warmup_records, len(testbed.series.records) // 2)
+    avg, worst, converged, verdict = _steady_state(testbed, monitor, warmup)
     envelope = predicted.envelope
-    within = bool(records) and worst <= envelope
     return EnvelopeRow(
         scenario=name,
         n_devices=config.n_devices,
@@ -660,7 +614,8 @@ def _run_envelope_arm(
         avg_precision_ns=avg,
         max_precision_ns=worst,
         margin_ns=envelope - worst,
-        within=within,
+        # An arm with no graded probes (NaN) is never within.
+        within=worst <= envelope,
         converged=converged,
         verdict=verdict,
     )
@@ -722,27 +677,12 @@ def compile_envelope(
             }
         )
     if attack_check:
-        from repro.security.campaigns import (
-            colluder_campaign,
-            default_gm_names,
-        )
-
         spec = resolve_scenario("paper-mesh4")
         base = spec.testbed_config(seed=seed)
-        gm_names = default_gm_names(
-            base.n_devices,
-            n_domains=spec.effective_domains,
-            gm_placement=base.gm_placement,
-        )
-        campaign = colluder_campaign(
-            attack_colluders, gm_names, start=attack_start
-        )
-        plan = campaign.compile()
-        if base.chaos is not None:
-            plan = merge_plans(base.chaos, plan)
         arms.append(
             {
-                "config": replace(base, chaos=plan),
+                "config": _with_colluders(base, attack_colluders,
+                                          start=attack_start),
                 "name": spec.name,
                 "f": spec.f,
                 "duration": attack_duration,

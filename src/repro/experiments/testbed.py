@@ -22,8 +22,7 @@ Reproduces the §III-A1 setup (Fig. 2):
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.analysis.bounds_theory import predict_testbed_bounds
@@ -151,6 +150,42 @@ class TestbedConfig:
     #: probe; see PrecisionRecord.extreme_pair).
     keep_probe_readings: bool = False
 
+    def gm_devices(self) -> Dict[int, int]:
+        """Domain number → the device whose ``c<device>_1`` is its GM.
+
+        ``"spread"`` puts domain x on device x (the paper's spatially
+        separated GMs), ``"reversed"`` on device N+1−x.
+        """
+        n_domains = (self.n_domains if self.n_domains is not None
+                     else self.n_devices)
+        if self.gm_placement == "spread":
+            return {x: x for x in range(1, n_domains + 1)}
+        if self.gm_placement == "reversed":
+            return {x: self.n_devices + 1 - x for x in range(1, n_domains + 1)}
+        raise ValueError(
+            f"unknown gm_placement {self.gm_placement!r} "
+            "(expected 'spread' or 'reversed')"
+        )
+
+    def gm_names(self) -> List[str]:
+        """The grandmaster VM names, in domain order."""
+        return [f"c{device}_1" for device in self.gm_devices().values()]
+
+
+def resolve_testbed_config(scenario=None, seed: int = 1,
+                           **overrides) -> TestbedConfig:
+    """The testbed of ``scenario`` at ``seed``, else the paper's mesh4.
+
+    ``scenario`` is a :class:`repro.scenarios.ScenarioSpec`, a registered
+    name or a JSON path; ``overrides`` replace testbed fields (see
+    :meth:`repro.scenarios.ScenarioSpec.testbed_config`).
+    """
+    if scenario is None:
+        return TestbedConfig(seed=seed, **overrides)
+    from repro.scenarios import resolve_scenario
+
+    return resolve_scenario(scenario).testbed_config(seed=seed, **overrides)
+
 
 class Testbed:
     """The built system, ready to run."""
@@ -220,18 +255,7 @@ class Testbed:
                 f"{3 * cfg.aggregator.f + 1} domains (M >= 3f + 1); "
                 f"got n_domains={n_domains}"
             )
-        # GM placement policy: device hosting domain x's grandmaster.
-        if cfg.gm_placement == "spread":
-            self._gm_device = {x: x for x in range(1, n_domains + 1)}
-        elif cfg.gm_placement == "reversed":
-            self._gm_device = {
-                x: cfg.n_devices + 1 - x for x in range(1, n_domains + 1)
-            }
-        else:
-            raise ValueError(
-                f"unknown gm_placement {cfg.gm_placement!r} "
-                "(expected 'spread' or 'reversed')"
-            )
+        self._gm_device = cfg.gm_devices()
         self._domain_of_device = {
             dev: dom for dom, dev in self._gm_device.items()
         }
@@ -494,8 +518,6 @@ class Testbed:
         setup (``.predicted``) so every consumer — monitor, manifests, the
         envelope sweep — sees measured and theoretical side by side.
         """
-        from dataclasses import replace
-
         measured = derive_bounds(
             self.topology,
             self.measurement_vm_name,

@@ -126,8 +126,13 @@ class FaultInjector:
             self.config.min_gap,
             round(self.rng.expovariate(1.0 / mean_gap)),
         )
-        first_possible = self.config.initial_delay
-        self.sim.schedule(max(gap, first_possible), self._redundant_tick, node)
+        # The quiet period holds back only the first shutdown; after it,
+        # consecutive shutdowns of a node are ``gap`` apart.
+        self.sim.schedule_at(
+            max(self.sim.now + gap, self.config.initial_delay),
+            self._redundant_tick,
+            node,
+        )
 
     def _redundant_tick(self, node: EcdNode) -> None:
         candidates = [

@@ -20,7 +20,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "PPB_BUCKETS",
         "default_ns_buckets",
     ),
-    "manifest": ("RunManifest", "METRICS_SCHEMA_VERSION"),
+    "manifest": ("RunManifest", "METRICS_SCHEMA_VERSION", "run_manifest"),
     "export": (
         "metrics_document",
         "write_metrics_json",

@@ -10,7 +10,7 @@ let regressions in the harness itself show up in dashboards.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 #: Bump when the exported metrics document shape changes.
 #: v3: optional ``bounds`` / ``predicted_bounds`` blocks (measured §III-A3
@@ -92,3 +92,49 @@ class RunManifest:
             schema_version=int(doc.get("schema_version", METRICS_SCHEMA_VERSION)),  # type: ignore[arg-type]
             extra=dict(doc.get("extra", {})),  # type: ignore[arg-type]
         )
+
+
+def run_manifest(
+    registry,
+    experiment: str,
+    config_fingerprint: str,
+    wall_time_s: Optional[float],
+    seeds: Iterable[int] = (),
+    sim_duration_ns: Optional[int] = None,
+    scenario=None,
+    verdict: Optional[str] = None,
+    verdict_detail: Optional[Dict[str, object]] = None,
+    bounds=None,
+    extra: Optional[Dict[str, Any]] = None,
+) -> RunManifest:
+    """The :class:`RunManifest` of a run that recorded into ``registry``.
+
+    ``events_dispatched`` is the registry's ``experiment.events_dispatched``
+    counter (``None`` when no run fed it). ``scenario`` is the run's
+    :class:`repro.scenarios.ScenarioSpec`, or ``None``. ``bounds`` is the
+    run's :class:`repro.measurement.bounds.ExperimentBounds`, or ``None``:
+    its measured figures become ``bounds`` and its closed-form prediction
+    ``predicted_bounds``.
+    """
+    events = registry.counters.get("experiment.events_dispatched")
+    measured = predicted = None
+    if bounds is not None:
+        measured = bounds.to_dict()
+        predicted = measured.pop("predicted", None)
+    return RunManifest(
+        experiment=experiment,
+        config_fingerprint=config_fingerprint,
+        seeds=list(seeds),
+        sim_duration_ns=sim_duration_ns,
+        wall_time_s=wall_time_s,
+        events_dispatched=events.value if events is not None else None,
+        scenario=scenario.name if scenario is not None else None,
+        scenario_fingerprint=(
+            scenario.fingerprint() if scenario is not None else None
+        ),
+        verdict=verdict,
+        verdict_detail=verdict_detail,
+        bounds=measured,
+        predicted_bounds=predicted,
+        extra=dict(extra or {}),
+    )

@@ -40,7 +40,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "AttackStage",
         "CAMPAIGN_SCHEMA_VERSION",
         "colluder_campaign",
-        "default_gm_names",
         "load_campaign",
         "dump_campaign",
     ),

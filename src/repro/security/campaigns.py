@@ -251,32 +251,6 @@ def dump_campaign(campaign: AttackCampaign, path: Union[str, Path]) -> None:
         fh.write("\n")
 
 
-def default_gm_names(
-    n_devices: int,
-    n_domains: Optional[int] = None,
-    gm_placement: str = "spread",
-) -> List[str]:
-    """The grandmaster VM names a testbed assigns, in domain order.
-
-    Mirrors the placement rule of
-    :class:`~repro.experiments.testbed.Testbed`: domain ``x`` is mastered
-    by ``c<x>_1`` under ``"spread"`` and by ``c<N+1-x>_1`` under
-    ``"reversed"``.
-    """
-    domains = n_domains if n_domains is not None else n_devices
-    if not 1 <= domains <= n_devices:
-        raise ValueError(
-            f"need 1 <= n_domains <= n_devices, got {domains}/{n_devices}"
-        )
-    if gm_placement == "spread":
-        devices = range(1, domains + 1)
-    elif gm_placement == "reversed":
-        devices = range(n_devices, n_devices - domains, -1)
-    else:
-        raise ValueError(f"unknown gm_placement {gm_placement!r}")
-    return [f"c{d}_1" for d in devices]
-
-
 def colluder_campaign(
     colluders: int,
     gm_names: List[str],
@@ -292,8 +266,9 @@ def colluder_campaign(
     the validity window for ``margin < 1``, so the colluding bloc keeps
     vouching for itself and is never excluded; only the FTA trim stands
     between it and the aggregate. Victims are taken from the *end* of
-    ``gm_names`` (mirroring the paper's §III-B, which compromises ``c4_1``
-    first).
+    ``gm_names``, the GMs in domain order
+    (:meth:`repro.experiments.testbed.TestbedConfig.gm_names`), mirroring
+    the paper's §III-B, which compromises ``c4_1`` first.
     """
     if threshold is None:
         threshold = ValidityConfig().threshold

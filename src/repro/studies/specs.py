@@ -165,27 +165,12 @@ def _plan_chaos(spec: Dict[str, Any]) -> StudyPlan:
         )
     campaign = None
     if spec.get("colluders"):
-        from repro.experiments.testbed import TestbedConfig
-        from repro.security.campaigns import (
-            colluder_campaign,
-            default_gm_names,
-        )
+        from repro.experiments.testbed import resolve_testbed_config
+        from repro.security.campaigns import colluder_campaign
 
-        seeds = spec.get("seeds", [1])
-        base = (
-            scenario.testbed_config(seed=int(seeds[0]))
-            if scenario is not None
-            else TestbedConfig(seed=int(seeds[0]))
-        )
-        gm_names = default_gm_names(
-            base.n_devices,
-            n_domains=(scenario.effective_domains
-                       if scenario is not None else None),
-            gm_placement=base.gm_placement,
-        )
         campaign = colluder_campaign(
             int(spec["colluders"]),
-            gm_names,
+            resolve_testbed_config(scenario).gm_names(),
             margin=float(spec.get("margin", 0.8)),
             start=round(float(spec.get("attack_start_s", 60.0)) * SECONDS),
         )

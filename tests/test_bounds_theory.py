@@ -265,8 +265,9 @@ class TestEnvelopeCatchesCollusion:
     @pytest.mark.slow
     def test_k2_colluders_flagged_without_retuning(self):
         """k=2 > f=1 colluding GMs must cross the *predicted* envelope —
-        the committed results/envelope_sweep.json acceptance arm, shrunk
-        to a 5-minute window for the nightly tier."""
+        the committed results/envelope_sweep.json acceptance arm at its
+        own 900 s. On paper-mesh4 seed 9 the k=2 bias breaks the bound
+        near t ≈ 800 s, so a shorter arm would still sit inside it."""
         from repro.experiments.sweeps import envelope_verdict, sweep_envelope
         from repro.monitoring.invariants import FAIL, PASS
 
@@ -276,7 +277,6 @@ class TestEnvelopeCatchesCollusion:
             attack_check=True,
             attack_colluders=2,
             attack_start=60 * SECONDS,
-            attack_duration=5 * MINUTES,
         )
         (row,) = rows
         assert row.attack == "collude-k2"

@@ -215,6 +215,32 @@ class TestEnvelopeSweepCommand:
         )
 
 
+class TestMetricsManifestEvents:
+    """Every ``--metrics`` record carries the events its run dispatched."""
+
+    @pytest.mark.parametrize("argv, single_run", [
+        (["faults", "--hours", "0.005", "--compress"], True),
+        (["chaos", "--loss", "0.05", "--loss-start", "5",
+          "--duration", "20"], True),
+        (["campaign", "--colluders", "1", "--start", "5",
+          "--duration", "20"], True),
+        (["sweep", "interval", "--duration", "20", "--no-cache"], False),
+    ], ids=["faults", "chaos", "campaign", "sweep"])
+    def test_manifest_counts_dispatched_events(self, argv, single_run,
+                                               tmp_path, capsys):
+        path = tmp_path / "metrics.json"
+        assert main(argv + ["--metrics", str(path)]) == 0
+        capsys.readouterr()
+        doc = json.loads(path.read_text())
+        manifest = doc["manifest"]
+        events = manifest["events_dispatched"]
+        assert isinstance(events, int) and events > 0
+        assert manifest["events_per_sec"] > 0
+        if single_run:
+            gauge = doc["metrics"]["kernel.events_dispatched"]["value"]
+            assert events == gauge
+
+
 class TestStudyCommand:
     def _spec(self, tmp_path, doc=None):
         spec = tmp_path / "study.json"

@@ -75,17 +75,23 @@ class TestManifestBoundsRoundTrip:
 
     def test_manifest_round_trips_measured_and_predicted(self):
         from repro.analysis.bounds_theory import TheoreticalBounds
-        from repro.cli import _bounds_manifest_fields
-        from repro.metrics.manifest import METRICS_SCHEMA_VERSION, RunManifest
+        from repro.metrics import MetricsRegistry
+        from repro.metrics.manifest import (
+            METRICS_SCHEMA_VERSION,
+            RunManifest,
+            run_manifest,
+        )
 
         tb = Testbed(TestbedConfig(seed=1))
         tb.run_until(30_000_000_000)
         bounds = tb.derive_bounds()
-        manifest = RunManifest(
+        manifest = run_manifest(
+            MetricsRegistry(),
             experiment="test:bounds",
             config_fingerprint="deadbeef",
+            wall_time_s=None,
             seeds=[1],
-            **_bounds_manifest_fields(bounds),
+            bounds=bounds,
         )
         assert METRICS_SCHEMA_VERSION == 3
         assert manifest.schema_version == 3

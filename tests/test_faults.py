@@ -152,6 +152,74 @@ class TestFaultInjector:
         assert all(r.reason for r in skipped)
 
 
+class TestInitialDelay:
+    """The quiet period delays only a node's first redundant shutdown."""
+
+    def test_later_gaps_are_not_floored_by_the_initial_delay(self):
+        sim = Simulator()
+        trace = TraceLog()
+        nodes = make_testbed(sim, trace, n_nodes=1)
+        injector = FaultInjector(
+            sim, nodes,
+            FaultInjectionConfig(
+                gm_shutdown_period=4 * HOURS,
+                redundant_rate_per_hour=60.0,
+                min_gap=1 * MINUTES,
+                initial_delay=10 * MINUTES,
+                require_sibling_synchronized=False,
+            ),
+            random.Random(5), trace,
+        )
+        injector.start()
+        sim.run_until(2 * HOURS)
+        times = [r.time for r in injector.records if r.kind == "redundant"]
+        gaps = [b - a for a, b in zip(times, times[1:])]
+        assert times[0] >= 10 * MINUTES
+        assert all(g >= 1 * MINUTES for g in gaps)
+        # Mean gap ~1.6 min after the 10-min quiet period: far more than
+        # the 12 ticks a 10-min floor on every gap would allow.
+        assert min(gaps) < 10 * MINUTES
+        assert len(times) > 30
+
+
+class TestExperimentInjectorConfig:
+    """The experiment hands its injector config through whole."""
+
+    UNSYNCED = FaultInjectionConfig(require_sibling_synchronized=False)
+
+    def test_scaled_keeps_every_injector_field(self):
+        from repro.experiments.fault_injection import (
+            FaultInjectionExperimentConfig,
+        )
+
+        scaled = FaultInjectionExperimentConfig(
+            injector=self.UNSYNCED
+        ).scaled(0.5)
+        assert scaled.injector.require_sibling_synchronized is False
+
+    def test_run_keeps_every_injector_field(self, monkeypatch):
+        from repro.experiments.fault_injection import (
+            FaultInjectionExperimentConfig,
+            run_fault_injection_experiment,
+        )
+
+        started = []
+        original = FaultInjector.start
+
+        def start(injector):
+            started.append(injector.config)
+            original(injector)
+
+        monkeypatch.setattr(FaultInjector, "start", start)
+        run_fault_injection_experiment(FaultInjectionExperimentConfig(
+            duration=1 * SECONDS, injector=self.UNSYNCED,
+        ))
+        (config,) = started
+        assert config.require_sibling_synchronized is False
+        # The measurement VM c2_2 is added to the exclusions.
+        assert config.exclude == ("c2_2",)
+
+
 class TestCompressedSchedule:
     """The §III-C schedule compressed into 12 simulated minutes.
 

@@ -38,7 +38,6 @@ from repro.security.campaigns import (
     AttackCampaign,
     AttackStage,
     colluder_campaign,
-    default_gm_names,
     dump_campaign,
     load_campaign,
 )
@@ -210,12 +209,13 @@ class TestCampaignSchema:
         with pytest.raises(ValueError):
             colluder_campaign(5, gms)
 
-    def test_default_gm_names_placements(self):
-        assert default_gm_names(4) == ["c1_1", "c2_1", "c3_1", "c4_1"]
-        assert default_gm_names(4, gm_placement="reversed") == [
+    def test_config_gm_names_placements(self):
+        # Colluder victims come from the testbed's own GM placement.
+        assert TestbedConfig().gm_names() == ["c1_1", "c2_1", "c3_1", "c4_1"]
+        assert TestbedConfig(gm_placement="reversed").gm_names() == [
             "c4_1", "c3_1", "c2_1", "c1_1"
         ]
-        assert default_gm_names(8, n_domains=4) == [
+        assert TestbedConfig(n_devices=8, n_domains=4).gm_names() == [
             "c1_1", "c2_1", "c3_1", "c4_1"
         ]
 
@@ -295,7 +295,7 @@ class TestCampaignSerializationProperties:
 class TestScenarioThreading:
     def test_scenario_carries_campaign_through_serialization(self):
         base = resolve_scenario("paper-mesh4")
-        campaign = colluder_campaign(2, default_gm_names(4))
+        campaign = colluder_campaign(2, TestbedConfig().gm_names())
         spec = dataclasses.replace(base, attack_campaign=campaign)
         doc = spec.to_dict()
         assert doc["attack_campaign"]["name"] == campaign.name
@@ -305,11 +305,12 @@ class TestScenarioThreading:
 
     def test_campaign_changes_scenario_fingerprint(self):
         base = resolve_scenario("paper-mesh4")
+        gms = TestbedConfig().gm_names()
         one = dataclasses.replace(
-            base, attack_campaign=colluder_campaign(1, default_gm_names(4))
+            base, attack_campaign=colluder_campaign(1, gms)
         )
         two = dataclasses.replace(
-            base, attack_campaign=colluder_campaign(2, default_gm_names(4))
+            base, attack_campaign=colluder_campaign(2, gms)
         )
         assert base.fingerprint() != one.fingerprint()
         assert one.fingerprint() != two.fingerprint()
@@ -330,7 +331,7 @@ class TestScenarioThreading:
             assert spec.testbed_config(seed=seed) == TestbedConfig(seed=seed)
 
     def test_campaign_materializes_into_chaos(self):
-        campaign = colluder_campaign(2, default_gm_names(4),
+        campaign = colluder_campaign(2, TestbedConfig().gm_names(),
                                      start=30 * SECONDS)
         spec = dataclasses.replace(
             resolve_scenario("paper-mesh4"), attack_campaign=campaign
@@ -345,7 +346,7 @@ class TestScenarioThreading:
     def test_campaign_merges_with_existing_chaos_plan(self):
         from repro.chaos import single_loss_plan
 
-        campaign = colluder_campaign(1, default_gm_names(4))
+        campaign = colluder_campaign(1, TestbedConfig().gm_names())
         spec = dataclasses.replace(
             resolve_scenario("paper-mesh4"),
             chaos_plan=single_loss_plan(0.1),
@@ -746,7 +747,7 @@ class TestCampaignExperiment:
             run_chaos_experiment,
         )
 
-        campaign = colluder_campaign(1, default_gm_names(4),
+        campaign = colluder_campaign(1, TestbedConfig().gm_names(),
                                      start=60 * SECONDS)
         result = run_chaos_experiment(ChaosExperimentConfig(
             duration=4 * MINUTES, seed=3, campaign=campaign,
