@@ -123,9 +123,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
     spec = _scenario_of(args)
     base = FaultInjectionExperimentConfig(seed=args.seed, scenario=spec)
-    if args.hours >= 24 and not args.compress:
-        config = base
-    elif args.compress:
+    if args.compress:
         config = base.scaled(args.hours)
     else:
         config = replace(base, duration=round(args.hours * HOURS))
@@ -497,6 +495,7 @@ def _cmd_sweep_envelope(args: argparse.Namespace) -> int:
             ),
             seeds=[args.seed],
             sim_duration_ns=duration,
+            scenario=_scenario_of(args),
             verdict=envelope_verdict(rows),
             verdict_detail={
                 "rows": {

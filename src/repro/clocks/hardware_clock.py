@@ -8,8 +8,9 @@ oscillator, to which software can apply
 * a one-shot step (``step``, ns — the servo's initial jump), and
 
 while the hardware keeps timestamping rx/tx events with this disciplined
-time. The conversion from oscillator ticks is piecewise linear: we record
-(oscillator reading, clock value, trim) at each adjustment and extrapolate.
+time (``timestamp``: a read plus white noise). The conversion from
+oscillator ticks is piecewise linear: we record (oscillator reading, clock
+value, trim) at each adjustment and extrapolate.
 
 Reading the clock is the hottest operation in the simulator, and many
 components read the same PHC within one simulated instant (ingress
@@ -21,7 +22,10 @@ instant skip the float rebase math entirely.
 
 from __future__ import annotations
 
+from math import cos as _cos, log as _log, sin as _sin, sqrt as _sqrt
+
 from repro.clocks.oscillator import Oscillator
+from repro.sim.rng import TWOPI
 from repro.sim.timebase import from_ppb, to_ppb
 
 
@@ -46,6 +50,7 @@ class HardwareClock:
         # time() runs on every timestamp; resolve the chain once.
         self._sim = oscillator.sim
         self._osc_advance = oscillator._advance
+        self._rng = oscillator.rng
 
     # ------------------------------------------------------------------
     # POSIX-ish interface used by the protocol stack and servo
@@ -72,6 +77,28 @@ class HardwareClock:
         self._cache_now = now
         self._cache_value = value
         return value
+
+    def timestamp(self, jitter: float) -> int:
+        """A hardware timestamp: ``time()`` plus white noise of std-dev ``jitter``.
+
+        The noise comes from the oscillator's RNG stream (the device's) and
+        is drawn before the clock is read: the read may replay oscillator
+        wander on the same stream, and the draw interleaving is part of the
+        deterministic schedule. The draw inlines ``rng.gauss(0.0, jitter)``
+        (Box–Muller with the stream's cached second variate): identical
+        draws on the same state.
+        """
+        if jitter > 0:
+            rng = self._rng
+            z = rng.gauss_next
+            rng.gauss_next = None
+            if z is None:
+                x2pi = rng.random() * TWOPI
+                g2rad = _sqrt(-2.0 * _log(1.0 - rng.random()))
+                z = _cos(x2pi) * g2rad
+                rng.gauss_next = _sin(x2pi) * g2rad
+            return round(self.time() + z * jitter)
+        return self.time()
 
     def step(self, delta: int) -> None:
         """Jump the clock by ``delta`` ns (``clock_settime`` relative)."""

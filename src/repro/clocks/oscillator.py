@@ -128,8 +128,8 @@ class Oscillator:
         # Replay every boundary up to now, one wander step each. After a
         # fast-forward jump that is hundreds of steps, so the loop keeps
         # its state in locals, inlines rng.gauss(0.0, sigma) (Box–Muller,
-        # as Nic.timestamp does, with the stream's cached second variate
-        # held in ``spare`` until the loop ends) and clamps with
+        # as HardwareClock.timestamp does, with the stream's cached second
+        # variate held in ``spare`` until the loop ends) and clamps with
         # comparisons that pick the same operand max/min would. Draws and
         # float operations keep the order of a step-at-a-time walk.
         rng = self.rng

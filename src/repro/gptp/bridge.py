@@ -25,14 +25,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.gptp.messages import (
-    FollowUp,
-    PdelayReq,
-    PdelayResp,
-    PdelayRespFollowUp,
-    Sync,
-)
-from repro.gptp.pdelay import PdelayInitiator, PdelayResponder
+from repro.gptp.messages import FollowUp, Sync
+from repro.gptp.pdelay import PdelayInitiator, PdelayResponder, dispatch_pdelay
 from repro.gptp.transport import SwitchPortTransport
 from repro.network.packet import GPTP_MULTICAST, Packet
 from repro.network.port import Port
@@ -146,18 +140,10 @@ class TimeAwareBridge:
             self._relay_sync(name, message, rx_ts)
         elif isinstance(message, FollowUp):
             self._relay_follow_up(name, message)
-        elif isinstance(message, PdelayReq):
-            responder = self.responders.get(name)
-            if responder is not None:
-                responder.on_request(message, rx_ts)
-        elif isinstance(message, PdelayResp):
-            initiator = self.initiators.get(name)
-            if initiator is not None and message.requester == initiator.transport.name:
-                initiator.on_response(message, rx_ts)
-        elif isinstance(message, PdelayRespFollowUp):
-            initiator = self.initiators.get(name)
-            if initiator is not None and message.requester == initiator.transport.name:
-                initiator.on_response_follow_up(message)
+        elif name in self.responders:  # pdelay runs on enabled ports only
+            dispatch_pdelay(
+                message, rx_ts, self.responders[name], self.initiators[name]
+            )
 
     # ------------------------------------------------------------------
     # Sync/FollowUp regeneration
@@ -177,8 +163,8 @@ class TimeAwareBridge:
         state = states.get(message.sequence_id)
         if state is None:
             return
-        tx_ts = self.switch.timestamp()
-        state.tx_ts[eg[0]] = tx_ts
+        switch = self.switch
+        state.tx_ts[eg[0]] = switch.clock.timestamp(switch.model.timestamp_jitter)
         eg[1](Packet(GPTP_MULTICAST, eg[2], message))
         self.sync_relayed += 1
 
@@ -195,57 +181,49 @@ class TimeAwareBridge:
             self.follow_up_dropped += 1
             return  # cannot build a correct correction field yet
         state.follow_up_relayed = True
-        rate_ratio_out = message.rate_ratio * ingress_pdelay.neighbor_rate_ratio
-        base_correction = (
-            message.correction_field
-            + message.rate_ratio * ingress_pdelay.link_delay
-        )
         for eg in ports.egress:
-            tx_ts = state.tx_ts.get(eg[0])
-            if tx_ts is None:
+            if eg[0] in state.tx_ts:
+                self._transmit_follow_up(message, eg, state, ingress_pdelay)
+            else:
                 # FollowUp overtook the Sync egress (possible under extreme
                 # queueing): retry shortly instead of dropping the interval.
                 self._post(
                     self._residence(), self._retry_follow_up, message, eg
                 )
-                continue
-            self._transmit_follow_up(message, eg, state, base_correction, rate_ratio_out)
 
     def _retry_follow_up(self, message: FollowUp, eg: tuple) -> None:
         ports = self._domains.get(message.domain)
         state = self._relay[message.domain].get(message.sequence_id)
         if ports is None or state is None:
             return
-        tx_ts = state.tx_ts.get(eg[0])
-        if tx_ts is None:
-            self.follow_up_dropped += 1
-            return
         ingress_pdelay = self.initiators[ports.slave_port]
-        if ingress_pdelay.link_delay is None:
+        if eg[0] not in state.tx_ts or ingress_pdelay.link_delay is None:
             self.follow_up_dropped += 1
             return
-        rate_ratio_out = message.rate_ratio * ingress_pdelay.neighbor_rate_ratio
-        base_correction = (
-            message.correction_field
-            + message.rate_ratio * ingress_pdelay.link_delay
-        )
-        self._transmit_follow_up(message, eg, state, base_correction, rate_ratio_out)
+        self._transmit_follow_up(message, eg, state, ingress_pdelay)
 
     def _transmit_follow_up(
         self,
         message: FollowUp,
         eg: tuple,
         state: _RelayState,
-        base_correction: float,
-        rate_ratio_out: float,
+        ingress_pdelay: PdelayInitiator,
     ) -> None:
+        """Send ``message`` out of one master port, corrected as above.
+
+        The ingress pdelay estimate is read when this runs, so a retried
+        FollowUp uses the estimate current at its retry.
+        """
+        rate_ratio_out = message.rate_ratio * ingress_pdelay.neighbor_rate_ratio
         residence = state.tx_ts[eg[0]] - state.rx_ts
         out_message = FollowUp(
             message.domain,
             message.sequence_id,
             message.gm_identity,
             message.precise_origin_timestamp,
-            base_correction + rate_ratio_out * residence,
+            (message.correction_field
+             + message.rate_ratio * ingress_pdelay.link_delay)
+            + rate_ratio_out * residence,
             rate_ratio_out,
         )
         self._post(self._residence(), eg[1], Packet(GPTP_MULTICAST, eg[2], out_message))

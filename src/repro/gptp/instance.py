@@ -29,17 +29,11 @@ from typing import Dict, Optional, Protocol
 
 from repro.clocks.hardware_clock import HardwareClock
 from repro.gptp.domain import DomainConfig
-from repro.gptp.messages import (
-    FollowUp,
-    PdelayReq,
-    PdelayResp,
-    PdelayRespFollowUp,
-    Sync,
-)
-from repro.gptp.pdelay import PdelayInitiator, PdelayResponder
+from repro.gptp.messages import FollowUp, Sync
+from repro.gptp.pdelay import PdelayInitiator, PdelayResponder, dispatch_pdelay
 from repro.gptp.transport import NicTransport
 from repro.network.nic import Nic
-from repro.network.packet import GPTP_MULTICAST, Packet
+from repro.network.packet import Packet
 from repro.sim.kernel import Simulator
 from repro.sim.process import PeriodicTask
 from repro.sim.timebase import MILLISECONDS
@@ -258,7 +252,7 @@ class GptpStack:
         self.pdelay_initiator = PdelayInitiator(sim, self.transport, rng)
         self.instances: Dict[int, Ptp4lInstance] = {}
         self._started = False
-        nic.attach_rx_handler(self._on_rx)
+        nic.set_gptp_handler(self._on_gptp)
 
     # ------------------------------------------------------------------
     def add_instance(
@@ -305,9 +299,8 @@ class GptpStack:
             instance.stop()
 
     # ------------------------------------------------------------------
-    def _on_rx(self, packet: Packet, rx_ts: int) -> None:
-        # Inline of packet.is_gptp(): this runs for every received frame.
-        if packet.dst != GPTP_MULTICAST or not self._started:
+    def _on_gptp(self, packet: Packet, rx_ts: int) -> None:
+        if not self._started:
             return
         # Sync/FollowUp dominate ingress volume; test for them first. The
         # message classes are disjoint, so the check order is behaviourally
@@ -321,14 +314,10 @@ class GptpStack:
             instance = self.instances.get(message.domain)
             if instance is not None:
                 instance.on_follow_up(message)
-        elif isinstance(message, PdelayReq):
-            self.pdelay_responder.on_request(message, rx_ts)
-        elif isinstance(message, PdelayResp):
-            if message.requester == self.transport.name:
-                self.pdelay_initiator.on_response(message, rx_ts)
-        elif isinstance(message, PdelayRespFollowUp):
-            if message.requester == self.transport.name:
-                self.pdelay_initiator.on_response_follow_up(message)
+        else:
+            dispatch_pdelay(
+                message, rx_ts, self.pdelay_responder, self.pdelay_initiator
+            )
 
     def __repr__(self) -> str:
         return f"GptpStack({self.nic.name!r}, domains={sorted(self.instances)})"

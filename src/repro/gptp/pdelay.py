@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional, Tuple
+from typing import Any, Deque, Optional, Tuple
 
 from repro.gptp.messages import PdelayReq, PdelayResp, PdelayRespFollowUp
 from repro.gptp.transport import GptpTransport
@@ -206,3 +206,25 @@ class PdelayInitiator:
             f"PdelayInitiator({self.transport.name!r}, delay={self.link_delay}, "
             f"ratio={self.neighbor_rate_ratio:.9f})"
         )
+
+
+def dispatch_pdelay(
+    message: Any,
+    rx_ts: int,
+    responder: PdelayResponder,
+    initiator: PdelayInitiator,
+) -> None:
+    """Hand a pdelay message received on one interface to its pdelay pair.
+
+    A request goes to the responder. A response or response follow-up goes
+    to the initiator, but only when its ``requester`` is this interface.
+    Any other message is ignored.
+    """
+    if isinstance(message, PdelayReq):
+        responder.on_request(message, rx_ts)
+    elif isinstance(message, PdelayResp):
+        if message.requester == initiator.transport.name:
+            initiator.on_response(message, rx_ts)
+    elif isinstance(message, PdelayRespFollowUp):
+        if message.requester == initiator.transport.name:
+            initiator.on_response_follow_up(message)

@@ -71,7 +71,8 @@ class SwitchPortTransport:
         on_tx_timestamp: Optional[TxTimestampCallback] = None,
     ) -> None:
         packet = Packet(GPTP_MULTICAST, self.name, message)
-        tx_ts = self.switch.timestamp()
+        switch = self.switch
+        tx_ts = switch.clock.timestamp(switch.model.timestamp_jitter)
         self.port.transmit(packet)
         if on_tx_timestamp is not None:
             self.switch.sim.schedule(self.tx_timestamp_latency, on_tx_timestamp, tx_ts)

@@ -37,8 +37,9 @@ class ProbePayload:
 class ProbeResponder:
     """Timestamps probe arrivals with the node's CLOCK_SYNCTIME.
 
-    Attached to a clock synchronization VM's NIC. A failed (fail-silent) VM
-    does not respond — its NIC is down anyway — and a node whose STSHMEM was
+    Attached to a clock synchronization VM's NIC, which hands it every
+    non-gPTP frame; it answers only probes. A failed (fail-silent) VM does
+    not respond — its NIC is down anyway — and a node whose STSHMEM was
     never initialized cannot timestamp yet.
     """
 

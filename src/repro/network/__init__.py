@@ -17,13 +17,18 @@ Model summary:
 * :mod:`repro.network.nic` — i210-like endpoint NIC: PTP hardware clock,
   rx/tx hardware timestamping with white jitter, an ETF launch-time transmit
   queue, and the tx-timestamp-timeout fault mode the paper observed in the
-  igb driver.
+  igb driver. Its ingress works like the switch's: gPTP frames go to one
+  gPTP handler, every other frame to the rx handlers.
 * :mod:`repro.network.topology` — builder for the 4-switch mesh plus path
   enumeration used by the measurement-error analysis.
+
+A link hands each arriving frame straight to the receiving device's
+``on_receive``, and the device stamps it with its PHC's one noisy read,
+:meth:`repro.clocks.hardware_clock.HardwareClock.timestamp`.
 """
 
 from repro.network.link import Link, LinkModel
-from repro.network.nic import Nic, NicModel, TxRecord
+from repro.network.nic import Nic, NicModel
 from repro.network.packet import GPTP_MULTICAST, Packet
 from repro.network.port import Port
 from repro.network.switch import SwitchModel, TsnSwitch
@@ -34,7 +39,6 @@ __all__ = [
     "LinkModel",
     "Nic",
     "NicModel",
-    "TxRecord",
     "Packet",
     "GPTP_MULTICAST",
     "Port",

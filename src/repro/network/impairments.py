@@ -226,9 +226,6 @@ class LinkImpairment:
         self.packets_reordered = 0
         self.congestion_delayed = 0
         self._ge_bad = False
-        # Hot-path bindings.
-        self._random = rng.random
-        self._randint = rng.randint
         self._metrics = metrics
         if metrics is not None:
             prefix = f"impairment.{link_name}" if link_name else "impairment"
@@ -259,7 +256,7 @@ class LinkImpairment:
             for window in spec.congestion:
                 if window.start <= now < window.end:
                     if window.extra_jitter > 0:
-                        delay += self._randint(0, window.extra_jitter)
+                        delay += self.rng.randint(0, window.extra_jitter)
                     self.congestion_delayed += 1
                     break
 
@@ -271,9 +268,9 @@ class LinkImpairment:
                 self._m_total_dropped.inc()
             return
 
-        held_back = spec.reorder > 0.0 and self._random() < spec.reorder
+        held_back = spec.reorder > 0.0 and self.rng.random() < spec.reorder
         if held_back:
-            delay += self._randint(1, spec.reorder_delay)
+            delay += self.rng.randint(1, spec.reorder_delay)
             self.packets_reordered += 1
             if self._metrics is not None:
                 self._m_reordered.inc()
@@ -281,9 +278,9 @@ class LinkImpairment:
 
         link.deliver_after(delay, packet, to_b)
 
-        if spec.duplicate > 0.0 and self._random() < spec.duplicate:
+        if spec.duplicate > 0.0 and self.rng.random() < spec.duplicate:
             # The copy never arrives before the original's own arrival.
-            extra = self._randint(0, spec.duplicate_delay)
+            extra = self.rng.randint(0, spec.duplicate_delay)
             self.packets_duplicated += 1
             if self._metrics is not None:
                 self._m_duplicated.inc()
@@ -295,16 +292,16 @@ class LinkImpairment:
         ge = self.spec.gilbert_elliott
         if ge is not None:
             if self._ge_bad:
-                if self._random() < ge.p_exit_bad:
+                if self.rng.random() < ge.p_exit_bad:
                     self._ge_bad = False
-            elif self._random() < ge.p_enter_bad:
+            elif self.rng.random() < ge.p_enter_bad:
                 self._ge_bad = True
             rate = ge.loss_bad if self._ge_bad else ge.loss_good
             if rate <= 0.0:
                 return False
-            return rate >= 1.0 or self._random() < rate
+            return rate >= 1.0 or self.rng.random() < rate
         loss = self.spec.loss
-        return loss > 0.0 and self._random() < loss
+        return loss > 0.0 and self.rng.random() < loss
 
     def stats(self) -> Dict[str, int]:
         """Counter snapshot for result reporting."""

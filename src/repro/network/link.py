@@ -55,7 +55,8 @@ class Link:
     """A full-duplex link between two ports.
 
     Construction wires both endpoints; transmission happens through
-    :meth:`carry`, invoked by :class:`~repro.network.port.Port`.
+    :meth:`carry`, invoked by :class:`~repro.network.port.Port`, and an
+    arrival goes straight to the receiving device's ``on_receive``.
     """
 
     def __init__(
@@ -84,21 +85,16 @@ class Link:
         # discarded on arrival instead of tunnelling through the outage.
         self._epoch = 0
         # Hot-path locals: one delay draw and one kernel post per packet;
-        # binding the methods and model scalars once keeps the per-packet
-        # cost to the draw itself. The uniform draw is inlined as the same
-        # rejection sampling ``randint(0, jitter)`` performs internally
-        # (identical getrandbits consumption, identical values), skipping
-        # three layers of pure-Python argument checking per packet.
+        # binding the model scalars once keeps the per-packet cost to the
+        # draw itself. The uniform draw is inlined as the same rejection
+        # sampling ``randint(0, jitter)`` performs internally (identical
+        # getrandbits consumption, identical values), skipping three layers
+        # of pure-Python argument checking per packet.
         self._base_delay = model.base_delay
         self._jitter = model.jitter
-        self._getrandbits = rng.getrandbits
         self._jitter_n = model.jitter + 1
         self._jitter_bits = self._jitter_n.bit_length()
         self._post = sim.post
-        self._deliver_a = a.deliver
-        self._deliver_b = b.deliver
-        self._arrive_a = self._arrival_a
-        self._arrive_b = self._arrival_b
         a._attach(self, b)
         b._attach(self, a)
 
@@ -114,7 +110,7 @@ class Link:
             # until the value falls below jitter + 1. Bit-identical to the
             # library call on the same RNG stream.
             n = self._jitter_n
-            getrandbits = self._getrandbits
+            getrandbits = self.rng.getrandbits
             r = getrandbits(self._jitter_bits)
             while r >= n:
                 r = getrandbits(self._jitter_bits)
@@ -130,7 +126,8 @@ class Link:
             return
         self._post(
             delay,
-            self._arrive_b if from_port is self.a else self._arrive_a,
+            self._arrival,
+            self.b if from_port is self.a else self.a,
             packet,
             self._epoch,
         )
@@ -138,20 +135,16 @@ class Link:
     def deliver_after(self, delay: int, packet: "Packet", to_b: bool) -> None:
         """Post an epoch-tagged delivery (impairment layer continuation)."""
         self._post(
-            delay, self._arrive_b if to_b else self._arrive_a, packet, self._epoch
+            delay, self._arrival, self.b if to_b else self.a, packet, self._epoch
         )
 
-    def _arrival_a(self, packet: "Packet", epoch: int) -> None:
+    def _arrival(self, port: "Port", packet: "Packet", epoch: int) -> None:
+        """Hand ``packet`` to ``port``'s device unless the link flapped since."""
         if epoch != self._epoch:
             self.packets_dropped += 1
             return
-        self._deliver_a(packet)
-
-    def _arrival_b(self, packet: "Packet", epoch: int) -> None:
-        if epoch != self._epoch:
-            self.packets_dropped += 1
-            return
-        self._deliver_b(packet)
+        port.rx_packets += 1
+        port.owner.on_receive(port, packet)
 
     def set_up(self, up: bool) -> None:
         """Administratively enable/disable the link.

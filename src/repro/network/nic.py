@@ -4,7 +4,9 @@ The NIC owns the PTP hardware clock (PHC) that ptp4l disciplines, performs
 hardware rx/tx timestamping with white noise, and supports *launch time*
 transmission through an ETF-style queue: the frame leaves the wire when the
 PHC reaches the requested launch time, which is how the grandmasters send
-their Sync messages quasi-synchronously (§II-B).
+their Sync messages quasi-synchronously (§II-B). Ingress follows the
+switch's contract: gPTP frames go to the registered gPTP handler (the
+gPTP stack), every other frame to the rx handlers.
 
 Two transient fault modes the paper observed on real i210/igb hardware are
 modelled explicitly (§III-C):
@@ -23,15 +25,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import cos as _cos, log as _log, sin as _sin, sqrt as _sqrt
 from typing import Callable, List, Optional
 
 from repro.clocks.hardware_clock import HardwareClock
 from repro.clocks.oscillator import Oscillator, OscillatorModel
-from repro.network.packet import Packet
+from repro.network.packet import GPTP_MULTICAST, Packet
 from repro.network.port import Port
 from repro.sim.kernel import Simulator
-from repro.sim.rng import TWOPI
 from repro.sim.timebase import MICROSECONDS, MILLISECONDS
 from repro.sim.trace import TraceLog
 
@@ -70,18 +70,6 @@ class NicModel:
     oscillator: OscillatorModel = OscillatorModel()
 
 
-@dataclass
-class TxRecord:
-    """Outcome bookkeeping for one transmit request."""
-
-    packet: Packet
-    launch_time: Optional[int]
-    transmitted: bool = False
-    tx_timestamp: Optional[int] = None
-    timed_out: bool = False
-    deadline_missed: bool = False
-
-
 class Nic:
     """A timestamping NIC with one port, owned by a clock synchronization VM."""
 
@@ -106,6 +94,7 @@ class Nic:
         self.oscillator = Oscillator(sim, rng, model.oscillator, name=f"{name}.osc")
         self.clock = HardwareClock(self.oscillator, name=f"{name}.phc")
         self.port = Port(self, "p0")
+        self._gptp_handler: Optional[RxHandler] = None
         self._rx_handlers: List[RxHandler] = []
         self._rx_snapshot: tuple = ()  # immutable fan-out list for on_receive
         self.enabled = True
@@ -113,18 +102,17 @@ class Nic:
         self.rx_count = 0
         self.tx_timestamp_timeouts = 0
         self.deadline_misses = 0
-        # Hot-path bindings: every rx/tx reads the PHC with gauss noise and
-        # posts follow-on events; resolve the methods and model scalars once.
-        self._random = rng.random
         self._post = sim.post
-        self._clock_time = self.clock.time
-        self._ts_jitter = model.timestamp_jitter
 
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
+    def set_gptp_handler(self, handler: RxHandler) -> None:
+        """Register the gPTP stack's callback for gPTP ingress."""
+        self._gptp_handler = handler
+
     def attach_rx_handler(self, handler: RxHandler) -> None:
-        """Register a consumer for (packet, hardware rx timestamp)."""
+        """Register a consumer for non-gPTP (packet, hardware rx timestamp)."""
         self._rx_handlers.append(handler)
         self._rx_snapshot = tuple(self._rx_handlers)
 
@@ -134,15 +122,22 @@ class Nic:
         self._rx_snapshot = tuple(self._rx_handlers)
 
     def on_receive(self, port: Port, packet: Packet) -> None:
-        """Port callback: hardware-timestamp and fan out to handlers.
+        """Link callback: hardware-timestamp, then dispatch.
 
-        Iterates an immutable snapshot so handlers may attach/detach during
-        delivery without copying the handler list on every packet.
+        A gPTP frame goes to the gPTP handler; any other frame fans out to
+        the rx handlers, over an immutable snapshot so handlers may
+        attach/detach during delivery without copying the handler list on
+        every packet.
         """
         if not self.enabled:
             return
         self.rx_count += 1
-        rx_ts = self.timestamp()
+        rx_ts = self.clock.timestamp(self.model.timestamp_jitter)
+        # Inline of packet.is_gptp(): this runs for every received frame.
+        if packet.dst == GPTP_MULTICAST:
+            if self._gptp_handler is not None:
+                self._gptp_handler(packet, rx_ts)
+            return
         for handler in self._rx_snapshot:
             handler(packet, rx_ts)
 
@@ -154,7 +149,7 @@ class Nic:
         packet: Packet,
         launch_time: Optional[int] = None,
         on_tx_timestamp: Optional[TxTimestampCallback] = None,
-    ) -> TxRecord:
+    ) -> None:
         """Transmit ``packet``, optionally at a PHC launch time.
 
         Parameters
@@ -169,20 +164,18 @@ class Nic:
             timestamp — or with ``None`` after the 5 ms timeout when the
             driver loses it (the paper's ``tx_timeout`` fault).
         """
-        record = TxRecord(packet=packet, launch_time=launch_time)
         if not self.enabled:
-            return record
+            return
 
         if launch_time is None:
-            self._transmit(record, on_tx_timestamp)
-            return record
+            self._transmit(packet, on_tx_timestamp)
+            return
 
         now_phc = self.clock.time()
         missed = now_phc + self.model.launch_tolerance >= launch_time
         if not missed and self.model.deadline_miss_prob > 0:
-            missed = self._random() < self.model.deadline_miss_prob
+            missed = self.rng.random() < self.model.deadline_miss_prob
         if missed:
-            record.deadline_missed = True
             self.deadline_misses += 1
             if self._metrics is not None:
                 self._m_deadline_miss.inc()
@@ -194,30 +187,9 @@ class Nic:
             if on_tx_timestamp is not None:
                 # ptp4l learns synchronously that the qdisc rejected the frame.
                 on_tx_timestamp(None)
-            return record
+            return
 
-        self._schedule_at_phc_time(launch_time, self._transmit, record, on_tx_timestamp)
-        return record
-
-    def timestamp(self) -> int:
-        """Read the PHC with white timestamp noise applied."""
-        jitter = self._ts_jitter
-        if jitter > 0:
-            # Draw the noise before reading the clock: the PHC read may
-            # advance oscillator wander on the same RNG stream, and the
-            # draw interleaving is part of the deterministic schedule.
-            # Inline of rng.gauss(0.0, jitter): Box–Muller with the
-            # cached second variate, identical draws on the same state.
-            rng = self.rng
-            z = rng.gauss_next
-            rng.gauss_next = None
-            if z is None:
-                x2pi = rng.random() * TWOPI
-                g2rad = _sqrt(-2.0 * _log(1.0 - rng.random()))
-                z = _cos(x2pi) * g2rad
-                rng.gauss_next = _sin(x2pi) * g2rad
-            return round(self._clock_time() + z * jitter)
-        return self._clock_time()
+        self._schedule_at_phc_time(launch_time, self._transmit, packet, on_tx_timestamp)
 
     def set_enabled(self, enabled: bool) -> None:
         """Power the NIC data path on/off (VM fail-silent / reboot)."""
@@ -225,22 +197,21 @@ class Nic:
 
     # ------------------------------------------------------------------
     def _transmit(
-        self, record: TxRecord, on_tx_timestamp: Optional[TxTimestampCallback]
+        self, packet: Packet, on_tx_timestamp: Optional[TxTimestampCallback]
     ) -> None:
         if not self.enabled:
             return
-        record.transmitted = True
         self.tx_count += 1
-        tx_ts = self.timestamp()
-        self.port.transmit(record.packet)
+        # Stamped even when nobody asks for the timestamp: the noise draw
+        # is part of the device stream's schedule.
+        tx_ts = self.clock.timestamp(self.model.timestamp_jitter)
+        self.port.transmit(packet)
         if on_tx_timestamp is None:
-            record.tx_timestamp = tx_ts
             return
         if (
             self.model.tx_timestamp_fail_prob > 0
-            and self._random() < self.model.tx_timestamp_fail_prob
+            and self.rng.random() < self.model.tx_timestamp_fail_prob
         ):
-            record.timed_out = True
             self.tx_timestamp_timeouts += 1
             if self._metrics is not None:
                 self._m_tx_timeout.inc()
@@ -248,7 +219,6 @@ class Nic:
                 self.trace.emit(self.sim.now, "ptp4l.tx_timeout", self.name)
             self._post(self.model.tx_timestamp_timeout, on_tx_timestamp, None)
         else:
-            record.tx_timestamp = tx_ts
             self._post(self.model.tx_timestamp_latency, on_tx_timestamp, tx_ts)
 
     def _schedule_at_phc_time(self, phc_target: int, fn, *args) -> None:
@@ -260,7 +230,7 @@ class Nic:
         """
 
         def attempt(depth: int) -> None:
-            remaining = phc_target - self._clock_time()
+            remaining = phc_target - self.clock.time()
             if remaining <= self.model.launch_tolerance or depth >= 6:
                 fn(*args)
                 return

@@ -1,8 +1,8 @@
 """Network ports.
 
 A :class:`Port` is a named attachment point on a device (switch or NIC).
-Devices implement ``on_receive(port, packet)``; the port delivers inbound
-packets there and pushes outbound packets onto its link.
+Devices implement ``on_receive(port, packet)``, where the link hands them
+inbound packets; the port pushes outbound packets onto its link.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ class Port:
         self.peer: Optional["Port"] = None
         self.rx_packets = 0
         self.tx_packets = 0
-        # deliver() runs once per received packet; resolve the handler once.
-        self._on_receive = owner.on_receive
 
     @property
     def full_name(self) -> str:
@@ -59,11 +57,6 @@ class Port:
             return
         self.tx_packets += 1
         self.link.carry(self, packet)
-
-    def deliver(self, packet: "Packet") -> None:
-        """Called by the link when a packet arrives."""
-        self.rx_packets += 1
-        self._on_receive(self, packet)
 
     def __repr__(self) -> str:
         peer = self.peer.full_name if self.peer else None

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import cos as _cos, log as _log, sin as _sin, sqrt as _sqrt
 from typing import Callable, Dict, List, Optional
 
 from repro.clocks.hardware_clock import HardwareClock
@@ -31,7 +30,6 @@ from repro.clocks.oscillator import Oscillator, OscillatorModel
 from repro.network.packet import GPTP_MULTICAST, Packet
 from repro.network.port import Port
 from repro.sim.kernel import Simulator
-from repro.sim.rng import TWOPI
 from repro.sim.trace import TraceLog
 
 #: Defensive bound on switch traversals per packet.
@@ -90,12 +88,9 @@ class TsnSwitch:
         self._gptp_handler: Optional[GptpHandler] = None
         self.dropped_hop_limit = 0
         self.forwarded = 0
-        # Hot-path bindings: ingress timestamping and store-and-forward run
-        # per packet; bind the RNG method and model scalars once.
-        self._getrandbits = rng.getrandbits
+        # Hot-path bindings: store-and-forward runs per packet; bind the
+        # model scalars once.
         self._post = sim.post
-        self._clock_time = self.clock.time
-        self._ts_jitter = model.timestamp_jitter
         self._residence_base = model.residence_base
         self._residence_jitter = model.residence_jitter
         # Inlined randint(0, residence_jitter) state: same rejection
@@ -132,49 +127,26 @@ class TsnSwitch:
         self._gptp_handler = handler
 
     # ------------------------------------------------------------------
-    # Hardware timestamping
+    # Data path
     # ------------------------------------------------------------------
-    def timestamp(self) -> int:
-        """Read the switch PHC with white timestamp noise applied."""
-        jitter = self._ts_jitter
-        if jitter > 0:
-            # Draw the noise before reading the clock: the PHC read may
-            # advance oscillator wander on the same RNG stream, and the
-            # draw interleaving is part of the deterministic schedule.
-            # Inline of rng.gauss(0.0, jitter): Box–Muller with the
-            # cached second variate, identical draws on the same state.
-            rng = self.rng
-            z = rng.gauss_next
-            rng.gauss_next = None
-            if z is None:
-                x2pi = rng.random() * TWOPI
-                g2rad = _sqrt(-2.0 * _log(1.0 - rng.random()))
-                z = _cos(x2pi) * g2rad
-                rng.gauss_next = _sin(x2pi) * g2rad
-            return round(self._clock_time() + z * jitter)
-        return self._clock_time()
-
     def residence_delay(self) -> int:
         """Sample one store-and-forward residence delay."""
         if self._residence_jitter > 0:
             # Inline of randint(0, jitter): bit-identical rejection sampling
             # on the same RNG stream, minus three pure-Python call layers.
             n = self._residence_n
-            getrandbits = self._getrandbits
+            getrandbits = self.rng.getrandbits
             r = getrandbits(self._residence_bits)
             while r >= n:
                 r = getrandbits(self._residence_bits)
             return self._residence_base + r
         return self._residence_base
 
-    # ------------------------------------------------------------------
-    # Data path
-    # ------------------------------------------------------------------
     def on_receive(self, port: Port, packet: Packet) -> None:
         """Dispatch an ingress packet per the forwarding rules above."""
         # Inline of packet.is_gptp(): this runs for every ingress frame.
         if packet.dst == GPTP_MULTICAST:
-            rx_ts = self.timestamp()
+            rx_ts = self.clock.timestamp(self.model.timestamp_jitter)
             if self._gptp_handler is not None:
                 self._gptp_handler(port, packet, rx_ts)
             return

@@ -15,12 +15,11 @@ from math import pi as _pi
 from typing import Dict
 
 #: Constant for the inlined ``random.gauss`` draws in the hot paths
-#: (:meth:`repro.network.nic.Nic.timestamp`,
-#: :meth:`repro.network.switch.TsnSwitch.timestamp` and the oscillator's
-#: wander replay). ``random.gauss`` keeps its spare Box–Muller variate in
-#: the instance attribute ``gauss_next`` (present on every CPython the
-#: project supports, 3.9 onwards); each inline replicates the library
-#: algorithm bit-for-bit on the same state.
+#: (:meth:`repro.clocks.hardware_clock.HardwareClock.timestamp` and the
+#: oscillator's wander replay). ``random.gauss`` keeps its spare
+#: Box–Muller variate in the instance attribute ``gauss_next`` (present on
+#: every CPython the project supports, 3.9 onwards); each inline
+#: replicates the library algorithm bit-for-bit on the same state.
 TWOPI = 2.0 * _pi
 
 

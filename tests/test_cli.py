@@ -82,6 +82,49 @@ class TestExperimentCommands:
         assert payload["violations"] == 0
 
 
+class _Intercepted(Exception):
+    """Raised by a stub runner once it has captured its config."""
+
+
+class TestFaultsHours:
+    """``faults --hours N`` without ``--compress`` runs N simulated hours."""
+
+    def _config(self, monkeypatch, argv):
+        from repro.experiments import fault_injection
+
+        seen = []
+
+        def intercept(config, metrics=None):
+            seen.append(config)
+            raise _Intercepted
+
+        monkeypatch.setattr(fault_injection, "run_fault_injection_experiment",
+                            intercept)
+        with pytest.raises(_Intercepted):
+            main(argv)
+        (config,) = seen
+        return config
+
+    @pytest.mark.parametrize("hours", ["0.5", "30", "48"])
+    def test_uncompressed_run_lasts_the_hours_asked(self, hours, monkeypatch):
+        from repro.sim.timebase import HOURS
+
+        config = self._config(monkeypatch, ["faults", "--hours", hours])
+        assert config.duration == round(float(hours) * HOURS)
+
+    def test_24_hours_is_the_papers_config(self, monkeypatch):
+        from repro.experiments.fault_injection import (
+            FaultInjectionExperimentConfig,
+        )
+        from repro.parallel import config_fingerprint
+
+        config = self._config(monkeypatch, ["faults", "--hours", "24"])
+        paper = FaultInjectionExperimentConfig(seed=1)
+        assert config == paper
+        assert (config_fingerprint("faults", config)
+                == config_fingerprint("faults", paper))
+
+
 class TestSweepCommand:
     def test_interval_sweep_text(self, capsys):
         assert main(["sweep", "interval", "--duration", "60"]) == 0
@@ -213,6 +256,43 @@ class TestEnvelopeSweepCommand:
         assert manifest["extra"]["min_margin_ns"] == pytest.approx(
             row["margin_ns"]
         )
+
+
+class TestEnvelopeManifestScenario:
+    """The envelope run record names the scenario ``--scenario`` gave."""
+
+    def _manifest(self, tmp_path, capsys, monkeypatch, scenario_args):
+        from repro.experiments import sweeps
+
+        real = sweeps.sweep_envelope
+
+        def one_short_arm(**kwargs):
+            # Without --scenario the command runs every registry arm; keep
+            # only paper-mesh4 and no attack arm, so the test stays fast.
+            kwargs.update(scenarios=("paper-mesh4",), attack_check=False)
+            return real(**kwargs)
+
+        monkeypatch.setattr(sweeps, "sweep_envelope", one_short_arm)
+        path = tmp_path / "metrics.json"
+        main(["sweep", "envelope", *scenario_args, "--duration", "40",
+              "--no-cache", "--metrics", str(path), "--json"])
+        capsys.readouterr()
+        return json.loads(path.read_text())["manifest"]
+
+    def test_named_scenario_is_recorded(self, tmp_path, capsys, monkeypatch):
+        from repro.scenarios import resolve_scenario
+
+        manifest = self._manifest(tmp_path, capsys, monkeypatch,
+                                  ["--scenario", "paper-mesh4"])
+        assert manifest["scenario"] == "paper-mesh4"
+        assert (manifest["scenario_fingerprint"]
+                == resolve_scenario("paper-mesh4").fingerprint())
+
+    def test_every_arm_records_no_scenario(self, tmp_path, capsys,
+                                           monkeypatch):
+        manifest = self._manifest(tmp_path, capsys, monkeypatch, [])
+        assert manifest["scenario"] is None
+        assert manifest["scenario_fingerprint"] is None
 
 
 class TestMetricsManifestEvents:

@@ -117,6 +117,26 @@ class TestBridgeRelay:
         assert fu.correction_field == pytest.approx(500, abs=60)
         assert fu.precise_origin_timestamp == origin  # never modified
 
+    def test_follow_up_overtaking_sync_egress_is_retried(self):
+        # A FollowUp sent right behind its Sync reaches the bridge inside
+        # the Sync's residence delay, before any egress timestamp exists:
+        # the bridge retries it one residence later instead of dropping it.
+        sim, sw, bridge, hosts = build()
+        bridge.initiators["vm_up"].link_delay = 100.0
+        up = hosts["up"][1]
+        up.transmit(gptp_packet("up", Sync(1, 5, "up")))
+        up.transmit(gptp_packet("up", FollowUp(1, 5, "up", 1000, 0.0, 1.0)))
+        sim.run_until(SECONDS)
+        for name in ("down1", "down2"):
+            fus = [p.payload for _, p in hosts[name][0].received
+                   if isinstance(p.payload, FollowUp)]
+            assert len(fus) == 1
+            # The direct path's correction: ingress link delay (~100) +
+            # residence (~400), with timestamp noise disabled.
+            assert fus[0].correction_field == pytest.approx(500, abs=60)
+        assert bridge.follow_up_relayed == 2
+        assert bridge.follow_up_dropped == 0
+
     def test_relay_state_pruned(self):
         sim, sw, bridge, hosts = build()
         up = hosts["up"][1]
