@@ -204,17 +204,22 @@ def cmd_baselines(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
     from repro.analysis.export import write_experiment_bundle
     from repro.experiments.fault_injection import (
         FaultInjectionExperimentConfig,
         run_fault_injection_experiment,
     )
+    from repro.sim.timebase import HOURS
 
     config = FaultInjectionExperimentConfig(
         seed=args.seed, scenario=_scenario_of(args)
     )
     if args.hours < 24:
         config = config.scaled(args.hours)
+    else:
+        config = replace(config, duration=round(args.hours * HOURS))
     result = run_fault_injection_experiment(config)
     written = write_experiment_bundle(args.output, result)
     payload = {"output": args.output, "files": written,

@@ -123,9 +123,9 @@ class ResultsCache:
         """Attach (or with ``None``, detach) a fault injector.
 
         The hooks in :meth:`get`/:meth:`put` are a single ``is not
-        None`` check when no injector is attached — cheap enough to
-        live in the production path permanently (bench-gate verified by
-        ``benchmarks/bench_faults_overhead.py``).
+        None`` check when no injector is attached, so they call nothing
+        in the injector; ``tests/test_idle_seams.py`` counts the calls
+        both ways.
         """
         self._faults = injector
 

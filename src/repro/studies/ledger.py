@@ -21,7 +21,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional
 
 from repro.studies.core import Study
@@ -56,6 +56,23 @@ class JobEntry:
     #: Compact result summary (``Study.summarize``): verdict, figures.
     info: Optional[Dict[str, Any]] = None
     error: Optional[str] = None
+
+
+_ENTRY_FIELDS = tuple(f.name for f in fields(JobEntry))
+
+
+def _entry_doc(entry: JobEntry) -> Dict[str, Any]:
+    """``dataclasses.asdict(entry)`` without its per-field deep copy.
+
+    Every field is a scalar except ``info``, a flat dict of scalars
+    (``Study.summarize``), which gets a new dict as ``asdict`` gives it;
+    the document has the same keys, order and values, so the journal
+    keeps its bytes.
+    """
+    doc = {name: getattr(entry, name) for name in _ENTRY_FIELDS}
+    if entry.info is not None:
+        doc["info"] = dict(entry.info)
+    return doc
 
 
 class LedgerMismatchError(RuntimeError):
@@ -254,7 +271,7 @@ class StudyLedger:
             "spec": self.spec,
             "stats": dict(self.stats),
             "order": list(self.order),
-            "jobs": {key: asdict(self.entries[key]) for key in self.order},
+            "jobs": {key: _entry_doc(self.entries[key]) for key in self.order},
         }
 
     def save(self) -> None:

@@ -87,7 +87,9 @@ class _Intercepted(Exception):
 
 
 class TestFaultsHours:
-    """``faults --hours N`` without ``--compress`` runs N simulated hours."""
+    """``faults --hours N`` without ``--compress`` runs N simulated hours,
+    and so does ``export --hours N`` (which compresses the schedule below
+    24 h and runs the paper's schedule from 24 h up)."""
 
     def _config(self, monkeypatch, argv):
         from repro.experiments import fault_injection
@@ -105,11 +107,18 @@ class TestFaultsHours:
         (config,) = seen
         return config
 
-    @pytest.mark.parametrize("hours", ["0.5", "30", "48"])
-    def test_uncompressed_run_lasts_the_hours_asked(self, hours, monkeypatch):
+    @pytest.mark.parametrize("command,hours", [
+        pytest.param(["faults"], hours, id=hours)
+        for hours in ("0.5", "30", "48")
+    ] + [
+        pytest.param(["export", "bundle"], hours, id=f"export-{hours}")
+        for hours in ("0.5", "30", "48")
+    ])
+    def test_uncompressed_run_lasts_the_hours_asked(self, command, hours,
+                                                    monkeypatch):
         from repro.sim.timebase import HOURS
 
-        config = self._config(monkeypatch, ["faults", "--hours", hours])
+        config = self._config(monkeypatch, command + ["--hours", hours])
         assert config.duration == round(float(hours) * HOURS)
 
     def test_24_hours_is_the_papers_config(self, monkeypatch):
@@ -118,11 +127,12 @@ class TestFaultsHours:
         )
         from repro.parallel import config_fingerprint
 
-        config = self._config(monkeypatch, ["faults", "--hours", "24"])
         paper = FaultInjectionExperimentConfig(seed=1)
-        assert config == paper
-        assert (config_fingerprint("faults", config)
-                == config_fingerprint("faults", paper))
+        for command in (["faults"], ["export", "bundle"]):
+            config = self._config(monkeypatch, command + ["--hours", "24"])
+            assert config == paper
+            assert (config_fingerprint("faults", config)
+                    == config_fingerprint("faults", paper))
 
 
 class TestSweepCommand:

@@ -1,12 +1,20 @@
 """Golden equivalence: ``paper-mesh4`` is byte-identical to the historical
 hand-built testbed.
 
-The hashes below were captured from the pre-scenario-layer testbed (commit
-614d171) over 60 simulated seconds, covering the full precision series,
-every trace record, the dispatched-event count, and the derived bounds. If
+Each seed pins two things over 60 simulated seconds:
+
+* a behaviour hash over the full precision series, every trace record
+  and the derived bounds;
+* the dispatched-event count, as a plain integer.
+
+Until the count moved out, one hash covered all four, captured from the
+pre-scenario-layer testbed (commit 614d171); the split values were taken
+on code that still reproduced those combined hashes for all three seeds,
+so the same data stays covered. A change that removes or merges events
+without changing behaviour re-pins only ``DISPATCHED_EVENTS``. If
 the topology/testbed refactor, the scenario mapping, or any RNG-draw or
-event-ordering detail drifts, these change — which is exactly the signal we
-want before trusting cross-scenario results.
+event-ordering detail drifts, the behaviour hash changes, which is
+exactly the signal we want before trusting cross-scenario results.
 """
 
 import hashlib
@@ -17,14 +25,16 @@ from repro.experiments.testbed import Testbed, TestbedConfig
 from repro.scenarios import get_scenario
 from repro.sim.timebase import SECONDS
 
-GOLDEN = {
-    1: "2a01f7f21e29376a9d0cac7036d123c2675ff3da1161c79e89e8edc00f960607",
-    21: "e35fbb1ea9cef382e61846acfdea5fe0c4ed84630c691d22ab3e7c2e8f539a38",
-    42: "b1d32b168fb6ad18eec02355949af18b216e4b105c7ab38304babc3bba7c71b4",
+BEHAVIOUR = {
+    1: "e3fbd386d0d4dd4d4e74130b3018006bb6c5461a9cc4342bce550c021dee6940",
+    21: "e1892627587b476f60681b0f754a60caea7aaab8536119c89c2b4eee2871b554",
+    42: "cf1281eea49eab4a383dc7221b5c3af46c738d12296a9d426d6578244908f0f7",
 }
+DISPATCHED_EVENTS = {1: 116329, 21: 116348, 42: 117942}
 
 
-def run_fingerprint(config: TestbedConfig) -> str:
+def run_record(config: TestbedConfig):
+    """``(behaviour hash, dispatched events)`` of a 60 s run of ``config``."""
     tb = Testbed(config)
     tb.run_until(60 * SECONDS)
     h = hashlib.sha256()
@@ -32,19 +42,20 @@ def run_fingerprint(config: TestbedConfig) -> str:
         h.update(f"{t}:{p!r};".encode())
     for r in tb.trace:
         h.update(f"{r.time}:{r.category}:{r.source};".encode())
-    h.update(str(tb.sim.dispatched_events).encode())
     h.update(repr(tb.derive_bounds()).encode())
-    return h.hexdigest()
+    return h.hexdigest(), tb.sim.dispatched_events
 
 
 class TestGoldenEquivalence:
-    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    @pytest.mark.parametrize("seed", sorted(BEHAVIOUR))
     def test_scenario_run_matches_pre_refactor_testbed(self, seed):
         config = get_scenario("paper-mesh4").testbed_config(seed=seed)
-        assert run_fingerprint(config) == GOLDEN[seed]
+        behaviour, events = run_record(config)
+        assert behaviour == BEHAVIOUR[seed]
+        assert events == DISPATCHED_EVENTS[seed]
 
     def test_scenario_config_equals_plain_default(self):
-        for seed in GOLDEN:
+        for seed in BEHAVIOUR:
             assert get_scenario("paper-mesh4").testbed_config(seed=seed) == \
                 TestbedConfig(seed=seed)
 
@@ -52,4 +63,5 @@ class TestGoldenEquivalence:
         # The default-constructed testbed itself must not have drifted
         # either — the scenario equality above would otherwise hide a
         # lock-step regression of both paths.
-        assert run_fingerprint(TestbedConfig(seed=1)) == GOLDEN[1]
+        assert run_record(TestbedConfig(seed=1)) == \
+            (BEHAVIOUR[1], DISPATCHED_EVENTS[1])

@@ -239,6 +239,59 @@ class TestLedger:
         text = ledger.describe()
         assert "v=1" in text and "v=2" in text and "pending=2" in text
 
+    def test_saved_file_keeps_the_asdict_bytes(self, tmp_path, monkeypatch):
+        """The journal is ``json.dumps(doc, indent=1)`` of a document whose
+        jobs are ``dataclasses.asdict`` of each entry, byte for byte, and
+        ``to_dict()`` (what ``study status --json`` prints) is that document."""
+        import dataclasses
+
+        from repro.studies import QUARANTINED, RUNNING
+
+        monkeypatch.setattr(time, "time", lambda: 1700000000.25)
+        path = str(tmp_path / "ledger.json")
+        study = _study([1, 2, 3, 4, 5])
+        ledger = StudyLedger.for_study(study, path=path,
+                                       spec={"kind": "unit", "seeds": [1]},
+                                       cache_dir="store")
+        ledger.stats = {"retries": 1, "backoff_s": 0.125}
+        keys = ledger.order
+        ledger.entries[keys[0]].label = "Präzision ±1 µs"
+        ledger.mark(keys[1], RUNNING, save=False)
+        ledger.mark(keys[2], DONE, save=False, source="cache", wall_s=0.1 + 0.2,
+                    info={"verdict": "PASS", "max_ns": 1234.5,
+                          "rows": {"a": [1, 2.5], "b": None}})
+        ledger.mark(keys[3], FAILED, save=False, wall_s=1e-7,
+                    error="Traceback (most recent call last):\nValueError: x")
+        ledger.mark(keys[4], QUARANTINED, save=False, attempts=3, wall_s=2.0,
+                    info=None, error="boom")
+        ledger.save()
+
+        doc = {
+            "schema_version": 1,
+            "study": ledger.study_name,
+            "fingerprint": ledger.fingerprint,
+            "created_at": 1700000000.25,
+            "updated_at": 1700000000.25,
+            "cache_dir": "store",
+            "spec": {"kind": "unit", "seeds": [1]},
+            "stats": {"retries": 1, "backoff_s": 0.125},
+            "order": list(keys),
+            "jobs": {key: dataclasses.asdict(ledger.entries[key])
+                     for key in keys},
+        }
+        assert [ledger.entries[k].status for k in keys] == \
+            [PENDING, RUNNING, DONE, FAILED, QUARANTINED]
+        with open(path, "rb") as fh:
+            assert fh.read() == json.dumps(doc, indent=1).encode("utf-8")
+        assert ledger.to_dict() == doc
+
+        returned = ledger.to_dict()["jobs"][keys[2]]["info"]
+        returned["verdict"] = "FAIL"
+        returned["extra"] = 1
+        assert ledger.entries[keys[2]].info == {
+            "verdict": "PASS", "max_ns": 1234.5,
+            "rows": {"a": [1, 2.5], "b": None}}
+
 
 class TestStudyFingerprint:
     def test_fingerprint_depends_on_job_set(self):
