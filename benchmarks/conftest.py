@@ -15,7 +15,6 @@ minute of wall time per simulated hour).
 """
 
 import os
-from dataclasses import replace
 
 import pytest
 
@@ -24,7 +23,6 @@ from repro.experiments.fault_injection import (
     FaultInjectionExperimentConfig,
     run_fault_injection_experiment,
 )
-from repro.sim.timebase import HOURS
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.12"))
 BENCH_HOURS = float(os.environ.get("REPRO_BENCH_HOURS", "0.5"))
@@ -54,9 +52,8 @@ def cyber_diverse_result():
 @pytest.fixture(scope="session")
 def fault_injection_result():
     """The §III-C run backing Fig. 4a, Fig. 4b and Fig. 5."""
-    config = FaultInjectionExperimentConfig(seed=BENCH_SEED)
-    if BENCH_HOURS < 24.0:
-        config = config.scaled(BENCH_HOURS)
-    else:
-        config = replace(config, duration=round(BENCH_HOURS * HOURS))
-    return run_fault_injection_experiment(config)
+    return run_fault_injection_experiment(
+        FaultInjectionExperimentConfig(seed=BENCH_SEED).for_hours(
+            BENCH_HOURS, compress=BENCH_HOURS < 24.0
+        )
+    )

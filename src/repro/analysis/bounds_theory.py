@@ -34,11 +34,13 @@ needs retuning per topology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 from repro.core.convergence import drift_offset, precision_bound, u_factor
-from repro.network.topology import Topology, _switch_key
+from repro.network.topology import Topology, _switch_key, build_topology
+from repro.sim.kernel import Simulator
+from repro.sim.rng import RngRegistry
 from repro.sim.timebase import MILLISECONDS
 
 #: Bump when the serialized TheoreticalBounds shape changes.
@@ -301,34 +303,39 @@ def predict_testbed_bounds(testbed) -> TheoreticalBounds:
     )
 
 
+def switch_graph(cfg) -> Topology:
+    """The switch graph of a testbed built from ``cfg``, built on its own.
+
+    No VMs, NICs or clocks are built. The graph draws from the stream a
+    testbed built from ``cfg`` draws its topology from, so the two have the
+    same trunks in the same order; that matters for generated shapes whose
+    edge set is seed-dependent (``random_geometric``).
+    """
+    mesh = replace(cfg.mesh, n_devices=cfg.n_devices)
+    kwargs = {"hub_device": cfg.hub_device} if cfg.topology == "star" else {}
+    kwargs.update(dict(cfg.topology_params))
+    return build_topology(
+        cfg.topology,
+        Simulator(),
+        RngRegistry(cfg.seed).stream("topology"),
+        mesh,
+        **kwargs,
+    )
+
+
 def predict_bounds(spec, seed: int = 1, max_drift_ppm: float = 5.0) -> TheoreticalBounds:
     """Predict a scenario's envelope without building a testbed.
 
     ``spec`` is a :class:`~repro.scenarios.ScenarioSpec`, a registered
     scenario name, or a spec-file path. Only the switch graph is built
-    (no VMs, no NICs, no clocks); ``seed`` matters solely for generated
-    shapes whose edge set is seed-dependent (``random_geometric``) and
-    mirrors the stream a testbed built from the same seed would draw.
+    (:func:`switch_graph`); ``seed`` matters solely for generated shapes
+    whose edge set is seed-dependent.
     """
-    from repro.network.topology import build_topology
     from repro.scenarios.registry import resolve_scenario
-    from repro.sim.kernel import Simulator
-    from repro.sim.rng import RngRegistry
 
     spec = resolve_scenario(spec)
     cfg = spec.testbed_config(seed=seed)
-    from dataclasses import replace as _replace
-
-    mesh = _replace(cfg.mesh, n_devices=cfg.n_devices)
-    kwargs = {"hub_device": cfg.hub_device} if cfg.topology == "star" else {}
-    kwargs.update(dict(cfg.topology_params))
-    topo = build_topology(
-        cfg.topology,
-        Simulator(),
-        RngRegistry(seed).stream("topology"),
-        mesh,
-        **kwargs,
-    )
+    topo = switch_graph(cfg)
     nic_counts = {sw: cfg.vms_per_node for sw in topo.switches}
     sw_m = f"sw{cfg.measurement_device}"
     return predict_topology_bounds(

@@ -8,6 +8,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "CHAOS_ACTIONS",
         "GM_ATTACK_KINDS",
         "LINK_ATTACK_KINDS",
+        "VM_ACTIONS",
         "ChaosPlan",
         "ChaosStage",
         "dump_plan",
@@ -15,5 +16,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "merge_plans",
         "single_loss_plan",
     ),
-    "orchestrator": ("ChaosOrchestrator",),
+    "orchestrator": ("ChaosOrchestrator", "ExploitAttempt"),
 })

@@ -6,8 +6,11 @@ The orchestrator is the chaos-side sibling of
 stage at its absolute simulation time and applies the action — attaching
 :class:`~repro.network.impairments.LinkImpairment` runtimes (each with its
 own named RNG stream, so chaos never perturbs link jitter or any other
-component's draws), flapping links, or launching steered attacks from
-:mod:`repro.security.attacks`.
+component's draws), flapping links, launching steered attacks from
+:mod:`repro.security.attacks`, stopping VMs, or running the §III-B
+exploit: an attempt **succeeds iff the victim runs a kernel affected by
+CVE-2018-18955**, and then installs a malicious ptp4l (one
+:class:`ExploitAttempt` is kept per attempt).
 
 Every executed stage emits a ``chaos.stage`` trace record, giving the
 invariant monitor and post-hoc analysis an exact timeline of what was done
@@ -16,9 +19,10 @@ to the network and when.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.chaos.plan import GM_ATTACK_KINDS, ChaosPlan, ChaosStage
+from repro.chaos.plan import GM_ATTACK_KINDS, VM_ACTIONS, ChaosPlan, ChaosStage
 from repro.network.impairments import LinkImpairment
 from repro.security.attacks import (
     AdaptiveAttack,
@@ -30,6 +34,7 @@ from repro.security.attacks import (
     WormholeAttack,
     _SteeredAttack,
 )
+from repro.security.kernels import CVE_2018_18955, is_vulnerable
 
 if TYPE_CHECKING:
     from repro.hypervisor.clock_sync_vm import ClockSyncVm
@@ -38,6 +43,16 @@ if TYPE_CHECKING:
     from repro.sim.kernel import Simulator
     from repro.sim.rng import RngRegistry
     from repro.sim.trace import TraceLog
+
+
+@dataclass
+class ExploitAttempt:
+    """Outcome record of one exploit attempt."""
+
+    time: int
+    target: str
+    kernel: str
+    succeeded: bool
 
 
 class ChaosOrchestrator:
@@ -63,6 +78,7 @@ class ChaosOrchestrator:
         self.stages_executed = 0
         self.impairments: Dict[str, LinkImpairment] = {}
         self.attacks: List[_SteeredAttack] = []
+        self.exploits: List[ExploitAttempt] = []
         self._started = False
 
     # ------------------------------------------------------------------
@@ -76,7 +92,8 @@ class ChaosOrchestrator:
             self.sim.schedule_at(stage.at, self._run_stage, stage)
 
     def _check_attack_targets(self) -> None:
-        """Reject attack stages naming VMs absent from this testbed.
+        """Reject attack, exploit and stop stages naming VMs absent from
+        this testbed.
 
         The plan schema already rejects names that cannot be clock-sync
         VMs; this catches the well-formed-but-missing case (e.g. ``c9_9``
@@ -84,7 +101,9 @@ class ChaosOrchestrator:
         bare ``KeyError`` when the stage eventually fires.
         """
         for stage in self.plan.stages:
-            if stage.action != "attack" or stage.attack not in GM_ATTACK_KINDS:
+            if stage.action not in VM_ACTIONS and (
+                stage.action != "attack" or stage.attack not in GM_ATTACK_KINDS
+            ):
                 continue
             wanted = set(stage.victims)
             if stage.observer is not None:
@@ -92,7 +111,7 @@ class ChaosOrchestrator:
             missing = sorted(wanted - set(self.vms))
             if missing:
                 raise ValueError(
-                    f"chaos plan {self.plan.name!r}, attack stage at "
+                    f"chaos plan {self.plan.name!r}, {stage.action} stage at "
                     f"t={stage.at}: {', '.join(missing)} not in this "
                     f"testbed; known VMs: {', '.join(sorted(self.vms))}"
                 )
@@ -165,6 +184,14 @@ class ChaosOrchestrator:
             for attack in self.attacks:
                 if stage.label is None or attack.label == stage.label:
                     attack.stop()
+        elif stage.action == "exploit":
+            for name in stage.victims:
+                self._exploit(name, stage.shift)
+        elif stage.action == "vm_stop":
+            for name in stage.victims:
+                self.vms[name].fail_silent(
+                    reboot=False, reason=stage.label or "vm_stop"
+                )
         if self.trace is not None:
             self.trace.emit(
                 self.sim.now, "chaos.stage", self.plan.name,
@@ -172,6 +199,21 @@ class ChaosOrchestrator:
                 links=",".join(stage.links),
                 attack=stage.attack or "",
             )
+
+    def _exploit(self, name: str, shift: int) -> None:
+        """Run CVE-2018-18955 against VM ``name``; on root, shift its GM."""
+        vm = self.vms[name]
+        kernel = vm.config.kernel_version
+        succeeded = vm.running and is_vulnerable(kernel, CVE_2018_18955.cve)
+        self.exploits.append(ExploitAttempt(
+            time=self.sim.now, target=name, kernel=kernel, succeeded=succeeded
+        ))
+        if self.trace is not None:
+            outcome = "success" if succeeded else "failed"
+            self.trace.emit(self.sim.now, f"attack.exploit_{outcome}", name,
+                            cve=CVE_2018_18955.cve, kernel=kernel)
+        if succeeded:
+            vm.compromise(shift)
 
     def _build_attack(self, stage: ChaosStage):
         """Instantiate the attack an ``attack`` stage describes."""

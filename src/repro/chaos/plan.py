@@ -1,8 +1,9 @@
 """Declarative chaos plans.
 
 A :class:`ChaosPlan` is a serializable schedule of timed stages that
-degrade a running testbed: attach/detach link impairments, flap links, or
-launch the steered attacks from :mod:`repro.security.attacks`. Plans ride
+degrade a running testbed: attach/detach link impairments, flap links,
+launch the steered attacks from :mod:`repro.security.attacks`, run the
+§III-B kernel exploit against VMs, or stop VMs fail-silent. Plans ride
 on :class:`~repro.scenarios.spec.ScenarioSpec` next to the fault plan, are
 part of the scenario fingerprint (and hence every results-cache key), and
 are executed by :class:`~repro.chaos.orchestrator.ChaosOrchestrator`.
@@ -38,7 +39,14 @@ from repro.sim.timebase import SECONDS
 #: Stage actions understood by the orchestrator.
 CHAOS_ACTIONS = (
     "impair", "clear", "link_down", "link_up", "attack", "attack_stop",
+    "exploit", "vm_stop",
 )
+
+#: Actions applied to each VM named in ``victims``: ``exploit`` runs
+#: CVE-2018-18955 (root, and a malicious ptp4l shifting by ``shift``, iff
+#: the VM runs and its kernel is affected); ``vm_stop`` stops the VM
+#: fail-silent without a reboot.
+VM_ACTIONS = ("exploit", "vm_stop")
 
 #: GM-side steered attack kinds (see :mod:`repro.security.attacks`); these
 #: compromise victim VMs and steer ``malicious_origin_shift``.
@@ -85,14 +93,17 @@ class ChaosStage:
     attack:
         One of :data:`ATTACK_KINDS` (``attack`` only).
     victims:
-        VM names to compromise (GM attack kinds only).
+        VM names to compromise (GM attack kinds, ``exploit``) or stop
+        (``vm_stop``).
     step_per_update / amplitude / period_updates:
         Steering parameters of the ramp/oscillate attacks.
     label:
         Optional handle; a labelled ``attack_stop`` stops only the attack
         launched with the same label (an unlabelled stop stops everything).
+        A ``vm_stop`` records it as the reason of the stop.
     shift:
-        Constant origin shift of the collude/adaptive attacks, ns.
+        Constant origin shift of the collude/adaptive attacks and of the
+        malicious ptp4l a successful ``exploit`` installs, ns.
     observer:
         Foothold VM of the adaptive attack (defaults to the first victim).
     domains:
@@ -145,6 +156,12 @@ class ChaosStage:
                 raise ValueError("impair stage needs an impairment spec")
         if self.action == "attack":
             self._validate_attack()
+        if self.action in VM_ACTIONS:
+            if not self.victims:
+                raise ValueError(f"{self.action} stage needs victim VM names")
+            _check_vm_names(
+                f"{self.action} stage at={self.at}", "victim", self.victims
+            )
 
     def _validate_attack(self) -> None:
         desc = f"attack stage at={self.at}"
@@ -194,6 +211,8 @@ class ChaosStage:
             doc["step_per_update"] = self.step_per_update
             doc["amplitude"] = self.amplitude
             doc["period_updates"] = self.period_updates
+        elif self.action in VM_ACTIONS:
+            doc["victims"] = list(self.victims)
         # Campaign-era fields ride along only when they differ from the
         # defaults: pre-campaign plans keep their byte-identical serialized
         # form (and hence their scenario fingerprints).

@@ -112,21 +112,13 @@ def cmd_faults(args: argparse.Namespace) -> int:
         render_series,
         render_timeline,
     )
-    from dataclasses import replace
-
     from repro.experiments.fault_injection import (
-        FaultInjectionExperimentConfig,
         run_fault_injection_experiment,
     )
     from repro.parallel import config_fingerprint
-    from repro.sim.timebase import HOURS
 
-    spec = _scenario_of(args)
-    base = FaultInjectionExperimentConfig(seed=args.seed, scenario=spec)
-    if args.compress:
-        config = base.scaled(args.hours)
-    else:
-        config = replace(base, duration=round(args.hours * HOURS))
+    config = _faults_config(args)
+    spec = config.scenario
     result = _run_recorded(
         args,
         lambda registry: run_fault_injection_experiment(config,
@@ -203,24 +195,26 @@ def cmd_baselines(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_export(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from repro.analysis.export import write_experiment_bundle
+def _faults_config(args: argparse.Namespace):
+    """The §III-C run of ``faults`` and ``export``: ``--hours`` simulated
+    hours of the paper's fault schedule, or of the schedule compressed
+    into them with ``--compress``."""
     from repro.experiments.fault_injection import (
         FaultInjectionExperimentConfig,
+    )
+
+    return FaultInjectionExperimentConfig(
+        seed=args.seed, scenario=_scenario_of(args)
+    ).for_hours(args.hours, args.compress)
+
+
+def cmd_export(args: argparse.Namespace) -> int:
+    from repro.analysis.export import write_experiment_bundle
+    from repro.experiments.fault_injection import (
         run_fault_injection_experiment,
     )
-    from repro.sim.timebase import HOURS
 
-    config = FaultInjectionExperimentConfig(
-        seed=args.seed, scenario=_scenario_of(args)
-    )
-    if args.hours < 24:
-        config = config.scaled(args.hours)
-    else:
-        config = replace(config, duration=round(args.hours * HOURS))
-    result = run_fault_injection_experiment(config)
+    result = run_fault_injection_experiment(_faults_config(args))
     written = write_experiment_bundle(args.output, result)
     payload = {"output": args.output, "files": written,
                "bounded": result.bounded,
@@ -1063,6 +1057,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="run fault injection and dump CSV bundle")
     p.add_argument("output", help="output directory")
     p.add_argument("--hours", type=float, default=0.25)
+    p.add_argument("--compress", action="store_true",
+                   help="compress the 24h schedule into --hours")
     p.add_argument("--seed", type=int, default=1)
     add_scenario_flag(p)
     p.add_argument("--json", action="store_true")

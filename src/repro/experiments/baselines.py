@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
+from repro.chaos.plan import ChaosPlan, ChaosStage
 from repro.core.aggregator import AggregatorConfig
 from repro.measurement.bounds import ExperimentBounds
-from repro.security.attacker import Attacker, AttackerConfig
-from repro.sim.timebase import HOURS, MICROSECONDS, MINUTES, SECONDS
+from repro.sim.timebase import MICROSECONDS, MINUTES, SECONDS
 from repro.experiments.testbed import Testbed, resolve_testbed_config
 
 
@@ -81,7 +81,8 @@ def run_single_domain_baseline(
     With ``n_domains=1`` there is nothing to aggregate: f must be 0 and the
     single GM is a single point of failure, which is the point. A
     ``scenario`` supplies the network shape; its M and f are overridden by
-    the single-domain premise.
+    the single-domain premise. The GM kill is a ``vm_stop`` stage and the
+    Byzantine turn an ``exploit`` stage of the testbed's chaos plan.
     """
     config = replace(
         resolve_testbed_config(scenario, seed),
@@ -90,21 +91,18 @@ def run_single_domain_baseline(
             domains=(1,), f=0, initial_domain=1, startup_confirmations=4
         ),
     )
-    testbed = Testbed(config)
+    stages = []
     if gm_fails_at is not None:
-        testbed.sim.schedule_at(
-            gm_fails_at, testbed.vms["c1_1"].fail_silent, False, "baseline-gm-kill"
-        )
+        stages.append(ChaosStage(at=gm_fails_at, action="vm_stop",
+                                 victims=("c1_1",), label="baseline-gm-kill"))
     if byzantine_at is not None:
-        attacker = Attacker(
-            testbed.sim,
-            {"c1_1": testbed.vms["c1_1"]},
-            AttackerConfig(
-                origin_shift=origin_shift, exploit_times={"c1_1": byzantine_at}
-            ),
-            trace=testbed.trace,
+        stages.append(ChaosStage(at=byzantine_at, action="exploit",
+                                 victims=("c1_1",), shift=origin_shift))
+    if stages:
+        config = config.with_chaos(
+            ChaosPlan(name="single-domain-baseline", stages=tuple(stages))
         )
-        attacker.arm()
+    testbed = Testbed(config)
     result = _collect(testbed, duration)
     result.label = "single-domain 802.1AS (no FTA)"
     result.bounds = testbed.derive_bounds()

@@ -21,13 +21,13 @@ from dataclasses import dataclass, replace
 from typing import List, Optional
 
 from repro.analysis.aggregate import AggregateBucket, aggregate_series
+from repro.chaos.orchestrator import ExploitAttempt
+from repro.chaos.plan import ChaosPlan, ChaosStage
 from repro.measurement.bounds import ExperimentBounds
 from repro.measurement.precision import PrecisionRecord
-from repro.security.attacker import Attacker, AttackerConfig, ExploitAttempt
 from repro.sim.timebase import (
     HOURS,
     MICROSECONDS,
-    MINUTES,
     SECONDS,
     format_hms,
     parse_hms,
@@ -130,27 +130,21 @@ def run_cyber_experiment(
     ``scenario`` (a spec, registered name, or JSON path) supplies the
     testbed when ``testbed_config`` is not given; the experiment's
     ``kernel_policy`` knob overrides the scenario's, since identical-vs-
-    diverse is the variable under test here.
+    diverse is the variable under test here. The two exploits are
+    ``exploit`` stages merged onto the testbed's chaos plan.
     """
     config = config if config is not None else CyberExperimentConfig()
     if not config.first_attack < config.second_attack < config.duration:
         raise ValueError("attack times must be ordered and inside the run")
-    testbed = Testbed(testbed_config or resolve_testbed_config(
-        scenario, config.seed, kernel_policy=config.kernel_policy
+    exploits = ChaosPlan(name="cyber-exploits", stages=tuple(
+        ChaosStage(at=at, action="exploit", victims=(target,),
+                   shift=config.origin_shift)
+        for at, target in ((config.first_attack, config.first_target),
+                           (config.second_attack, config.second_target))
     ))
-    attacker = Attacker(
-        testbed.sim,
-        {name: testbed.vms[name] for name in (config.first_target, config.second_target)},
-        AttackerConfig(
-            origin_shift=config.origin_shift,
-            exploit_times={
-                config.first_target: config.first_attack,
-                config.second_target: config.second_attack,
-            },
-        ),
-        trace=testbed.trace,
-    )
-    attacker.arm()
+    testbed = Testbed((testbed_config or resolve_testbed_config(
+        scenario, config.seed, kernel_policy=config.kernel_policy
+    )).with_chaos(exploits))
     testbed.run_until(config.duration)
 
     bounds = testbed.derive_bounds()
@@ -168,7 +162,7 @@ def run_cyber_experiment(
         buckets=aggregate_series(
             testbed.series.series(), bucket=max(config.duration // 30, SECONDS)
         ),
-        attempts=list(attacker.attempts),
+        attempts=list(testbed.chaos.exploits),
         max_before_attacks=window_max(0, config.first_attack),
         max_between_attacks=window_max(
             config.first_attack + margin, config.second_attack

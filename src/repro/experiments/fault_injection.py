@@ -55,6 +55,18 @@ class FaultInjectionExperimentConfig:
     #: monitor is draw-free and state-free, so it never perturbs results).
     invariants: InvariantSpec = InvariantSpec()
 
+    def for_hours(
+        self, hours: float, compress: bool = False
+    ) -> "FaultInjectionExperimentConfig":
+        """A run of ``hours`` simulated hours.
+
+        With ``compress`` the fault schedule is compressed into them
+        (:meth:`scaled`); without, the paper's schedule runs that long.
+        """
+        if compress:
+            return self.scaled(hours)
+        return dataclasses.replace(self, duration=round(hours * HOURS))
+
     def scaled(self, hours: float) -> "FaultInjectionExperimentConfig":
         """A shorter run with the fault schedule compressed to match.
 

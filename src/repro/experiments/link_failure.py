@@ -18,9 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.analysis.bounds_theory import switch_graph
+from repro.chaos.plan import ChaosPlan, ChaosStage
 from repro.measurement.bounds import ExperimentBounds
-from repro.monitoring.invariants import InvariantMonitor, Verdict
-from repro.sim.timebase import MINUTES, SECONDS
+from repro.monitoring.invariants import Verdict
+from repro.sim.timebase import MINUTES
+from repro.experiments.monitored import run_monitored
 from repro.experiments.testbed import (
     Testbed,
     TestbedConfig,
@@ -101,17 +104,18 @@ def run_link_failure_experiment(
     """Run the experiment end to end.
 
     ``scenario`` (a spec, registered name, or JSON path) supplies the
-    testbed when ``testbed_config`` is not given.
+    testbed when ``testbed_config`` is not given. The flap is a
+    ``link_down``/``link_up`` stage pair merged onto the testbed's chaos
+    plan; the silenced domains are read at the end of the outage.
     """
     config = config if config is not None else LinkFailureConfig()
-    testbed = Testbed(
-        testbed_config or resolve_testbed_config(scenario, config.seed)
-    )
-    sw_m = f"sw{testbed.config.measurement_device}"
+    tb_config = testbed_config or resolve_testbed_config(scenario, config.seed)
+    sw_m = f"sw{tb_config.measurement_device}"
     victim = config.trunk
     if victim is None:
         victim = next(
-            (pair for pair in testbed.topology.trunks if sw_m not in pair),
+            (pair for pair in switch_graph(tb_config).trunks
+             if sw_m not in pair),
             None,
         )
         if victim is None:
@@ -125,16 +129,16 @@ def run_link_failure_experiment(
             f"trunk {victim} carries the measurement VLAN ({sw_m}); "
             "pick a trunk not incident to the measurement device"
         )
-    monitor = InvariantMonitor(testbed)
-    monitor.start()
-    testbed.run_until(config.settle)
-    trunk = testbed.topology.trunk(*victim)
-    trunk.set_up(False)
-    outage_start = testbed.sim.now
-    testbed.run_until(outage_start + config.outage)
+    outage_start = config.settle
+    recovery_start = outage_start + config.outage
+    trunk = ("-".join(victim),)
+    flap = ChaosPlan(name="trunk-flap", stages=(
+        ChaosStage(at=outage_start, action="link_down", links=trunk),
+        ChaosStage(at=recovery_start, action="link_up", links=trunk),
+    ))
+    testbed, monitor, _ = run_monitored(tb_config.with_chaos(flap),
+                                        recovery_start)
     silenced = _stale_domains(testbed)
-    trunk.set_up(True)
-    recovery_start = testbed.sim.now
     testbed.run_until(recovery_start + config.recovery)
 
     bounds = testbed.derive_bounds()

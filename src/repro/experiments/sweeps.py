@@ -14,7 +14,7 @@ import inspect
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.chaos.plan import merge_plans, single_loss_plan
+from repro.chaos.plan import single_loss_plan
 from repro.core.aggregator import AggregatorMode
 from repro.experiments.monitored import run_monitored
 from repro.experiments.testbed import TestbedConfig, resolve_testbed_config
@@ -224,10 +224,9 @@ def _with_colluders(base: TestbedConfig, colluders: int,
     """``base`` with ``colluders`` of its GMs colluding in-window, the
     :func:`repro.security.campaigns.colluder_campaign` (``campaign`` is
     its keywords) merged onto ``base``'s own chaos plan."""
-    plan = colluder_campaign(colluders, base.gm_names(), **campaign).compile()
-    if base.chaos is not None:
-        plan = merge_plans(base.chaos, plan)
-    return replace(base, chaos=plan)
+    return base.with_chaos(
+        colluder_campaign(colluders, base.gm_names(), **campaign).compile()
+    )
 
 
 def sweep_domain_count(

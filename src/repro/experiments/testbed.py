@@ -171,6 +171,18 @@ class TestbedConfig:
         """The grandmaster VM names, in domain order."""
         return [f"c{device}_1" for device in self.gm_devices().values()]
 
+    def with_chaos(self, plan: ChaosPlan) -> "TestbedConfig":
+        """This config with ``plan`` merged onto its own chaos plan.
+
+        The merge is :func:`~repro.chaos.plan.merge_plans`, so at equal
+        times this config's own stages run first.
+        """
+        if self.chaos is None:
+            return replace(self, chaos=plan)
+        from repro.chaos.plan import merge_plans
+
+        return replace(self, chaos=merge_plans(self.chaos, plan))
+
 
 def resolve_testbed_config(scenario=None, seed: int = 1,
                            **overrides) -> TestbedConfig:

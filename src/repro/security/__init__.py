@@ -1,4 +1,4 @@
-"""Security model: kernel vulnerabilities, the attacker, OS diversification.
+"""Security model: kernel vulnerabilities, attacks, OS diversification.
 
 The cyber-resilience experiment (§III-B) assumes an attacker holding
 restricted user credentials on two virtual grandmasters who escalates to
@@ -9,8 +9,9 @@ replaces the benign ptp4l instances with malicious ones shifting
 We model the part of that chain the clock synchronization architecture can
 actually observe: an exploit attempt **succeeds iff the target VM's kernel
 version is affected by the CVE** (:mod:`repro.security.kernels`), in which
-case the VM is compromised and its GM instance turns malicious
-(:mod:`repro.security.attacker`). Whether the fleet shares exploitable
+case the VM is compromised and its GM instance turns malicious. The
+attempts are ``exploit`` stages of a chaos plan
+(:mod:`repro.chaos.orchestrator`). Whether the fleet shares exploitable
 stacks is decided by the diversification policy
 (:mod:`repro.security.diversity`) — the paper's Fig. 3a vs Fig. 3b
 difference is exactly ``identical`` vs ``diverse``.
@@ -25,7 +26,6 @@ serializable multi-stage campaigns graded by the invariant monitor.
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "attacker": ("Attacker", "AttackerConfig", "ExploitAttempt"),
     "attacks": (
         "RampAttack",
         "OscillatingAttack",

@@ -25,6 +25,7 @@ from repro.analysis.bounds_theory import (
     attack_allowance,
     predict_bounds,
     predict_testbed_bounds,
+    switch_graph,
 )
 from repro.core.convergence import drift_offset, precision_bound, u_factor
 from repro.experiments.testbed import Testbed
@@ -209,6 +210,16 @@ class TestAttackAllowance:
         )
         assert attack_allowance(merged, 4) == 4_000.0
 
+    def test_exploits_and_vm_stops_contribute_nothing(self):
+        from repro.chaos.plan import ChaosPlan, ChaosStage
+
+        plan = ChaosPlan(name="vm-actions", stages=(
+            ChaosStage(at=SECONDS, action="exploit", victims=("c4_1",),
+                       shift=-24_000),
+            ChaosStage(at=2 * SECONDS, action="vm_stop", victims=("c1_1",)),
+        ))
+        assert attack_allowance(plan, 4) == 0.0
+
 
 # ----------------------------------------------------------------------
 # Domination: prediction >= measurement on clean registry scenarios
@@ -289,6 +300,28 @@ class TestEnvelopeCatchesCollusion:
 # ----------------------------------------------------------------------
 # Testbed plumbing
 # ----------------------------------------------------------------------
+class TestSwitchGraph:
+    # A testbed-free graph must pick the same trunks in the same order as
+    # a built testbed: the link-failure experiment's default victim (the
+    # first trunk clear of the measurement switch) is read from it.
+    @pytest.mark.parametrize("name,seed", [
+        (name, 3) for name in (
+            "paper-mesh4", "mesh8", "ring", "line", "star", "torus-64",
+            "torus-256", "fat-tree-64", "fat-tree-256", "geo-64",
+        )
+    ] + [("geo-64", 11)])
+    def test_trunks_match_the_built_testbed(self, name, seed):
+        cfg = get_scenario(name).testbed_config(seed=seed)
+        assert list(switch_graph(cfg).trunks) == \
+            list(Testbed(cfg).topology.trunks)
+
+    def test_geometric_edges_depend_on_the_seed(self):
+        spec = get_scenario("geo-64")
+        graphs = [set(switch_graph(spec.testbed_config(seed=seed)).trunks)
+                  for seed in (3, 11)]
+        assert graphs[0] != graphs[1]
+
+
 class TestTestbedThreading:
     def test_derive_bounds_attaches_prediction(self):
         spec = get_scenario("paper-mesh4")

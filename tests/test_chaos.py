@@ -1,6 +1,8 @@
 """Chaos plans, orchestrator, and the chaos experiment."""
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -14,10 +16,13 @@ from repro.chaos import (
 )
 from repro.experiments.chaos import ChaosExperimentConfig, run_chaos_experiment
 from repro.experiments.testbed import Testbed, TestbedConfig
+from repro.hypervisor.vm import VmState
 from repro.monitoring import DEGRADED, FAIL, PASS
 from repro.network.impairments import ImpairmentSpec
 from repro.scenarios import resolve_scenario
+from repro.sim.kernel import Simulator
 from repro.sim.timebase import MINUTES, SECONDS
+from repro.sim.trace import TraceLog
 
 
 LOSS = ImpairmentSpec(loss=0.5)
@@ -50,6 +55,17 @@ class TestPlanValidation:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             ChaosStage(at=-1, action="clear", links=("*",))
+
+    @pytest.mark.parametrize("action", ["exploit", "vm_stop"])
+    def test_vm_action_needs_victims(self, action):
+        with pytest.raises(ValueError, match="needs victim VM names"):
+            ChaosStage(at=0, action=action)
+
+    @pytest.mark.parametrize("action", ["exploit", "vm_stop"])
+    @pytest.mark.parametrize("name", ["ghost", "c4", "sw1", "c4_1 "])
+    def test_vm_action_rejects_malformed_victim(self, action, name):
+        with pytest.raises(ValueError, match="not a clock-sync VM name"):
+            ChaosStage(at=0, action=action, victims=("c1_1", name))
 
 
 class TestPlanSerialization:
@@ -86,6 +102,60 @@ class TestPlanSerialization:
         with pytest.raises(ValueError):
             ChaosStage.from_dict({"at": 0, "action": "clear",
                                   "links": ["*"], "frobnicate": 1})
+
+    def test_vm_actions_round_trip(self, tmp_path):
+        plan = ChaosPlan(name="exploit-and-stop", stages=(
+            ChaosStage(at=65 * SECONDS, action="exploit",
+                       victims=("c4_1", "c1_1"), shift=-24_000),
+            ChaosStage(at=90 * SECONDS, action="vm_stop", victims=("c2_1",),
+                       label="gm-kill"),
+        ))
+        doc = plan.to_dict()
+        assert doc["stages"] == [
+            {"at": 65 * SECONDS, "action": "exploit",
+             "victims": ["c4_1", "c1_1"], "shift": -24_000},
+            {"at": 90 * SECONDS, "action": "vm_stop", "victims": ["c2_1"],
+             "label": "gm-kill"},
+        ]
+        assert ChaosPlan.from_dict(json.loads(json.dumps(doc))) == plan
+        path = tmp_path / "plan.json"
+        dump_plan(plan, path)
+        assert load_plan(path) == plan
+
+    def test_plans_without_vm_actions_serialize_as_before(self):
+        # Every action and attack kind that predates the VM actions, with
+        # the campaign-era fields set and ``victims`` on a link action
+        # (where it is ignored). The hash was taken on the code before
+        # ``exploit`` and ``vm_stop`` existed: such plans keep their bytes,
+        # and hence their scenario fingerprints and cache keys.
+        plan = ChaosPlan(name="every-link-and-attack-action", stages=(
+            ChaosStage(at=1 * SECONDS, action="impair", links=("*",),
+                       impairment=ImpairmentSpec(loss=0.1, delay_a_to_b=300)),
+            ChaosStage(at=2 * SECONDS, action="link_down", links=("sw1-sw3",),
+                       victims=("c1_1",)),
+            ChaosStage(at=3 * SECONDS, action="link_up", links=("sw1-sw3",)),
+            ChaosStage(at=4 * SECONDS, action="attack", attack="ramp",
+                       victims=("c1_1",), step_per_update=-50),
+            ChaosStage(at=5 * SECONDS, action="attack", attack="oscillate",
+                       victims=("c2_1",), amplitude=5_000, period_updates=8),
+            ChaosStage(at=6 * SECONDS, action="attack", attack="collude",
+                       victims=("c3_1", "c4_1"), shift=-9_000, label="pair"),
+            ChaosStage(at=7 * SECONDS, action="attack", attack="adaptive",
+                       victims=("c3_1",), observer="c2_2"),
+            ChaosStage(at=8 * SECONDS, action="attack", attack="suppress",
+                       links=("nic:c2_1",), domains=(1, 2), drop_prob=0.5),
+            ChaosStage(at=9 * SECONDS, action="attack", attack="delay",
+                       links=("device:3",), extra_delay=2_000),
+            ChaosStage(at=10 * SECONDS, action="attack", attack="wormhole",
+                       links=("sw1-sw2",), dest="sw3-sw4", tunnel_delay=500),
+            ChaosStage(at=11 * SECONDS, action="attack_stop", label="pair"),
+            ChaosStage(at=12 * SECONDS, action="clear", links=("*",)),
+        ))
+        doc = json.dumps(plan.to_dict(), sort_keys=True).encode()
+        assert hashlib.sha256(doc).hexdigest() == (
+            "1fca3e6608408998c701fc51bd6e19ee8ece54e2c082c48e937e99415b4a0a5c"
+        )
+        assert "victims" not in plan.stages[1].to_dict()
 
     def test_single_loss_plan_shape(self):
         plan = single_loss_plan(0.25, start=45 * SECONDS, end=90 * SECONDS)
@@ -215,6 +285,115 @@ class TestOrchestrator:
         orch.start()
         with pytest.raises(RuntimeError):
             orch.start()
+
+
+class FakeVm:
+    """Just enough ClockSyncVm surface for the ``exploit`` stage."""
+
+    def __init__(self, name, kernel, running=True):
+        self.name = name
+        self.running = running
+        self.compromised = False
+        self.shift = None
+
+        class Cfg:
+            kernel_version = kernel
+
+        self.config = Cfg()
+
+    def compromise(self, origin_shift):
+        self.compromised = True
+        self.shift = origin_shift
+
+
+class TestExploitStage:
+    """The §III-B exploit: root iff the VM runs an affected kernel."""
+
+    def run(self, vms, times):
+        sim = Simulator()
+        trace = TraceLog()
+        plan = ChaosPlan(name="exploits", stages=tuple(
+            ChaosStage(at=at, action="exploit", victims=(name,),
+                       shift=-24_000)
+            for name, at in times
+        ))
+        orch = ChaosOrchestrator(
+            sim, None, plan, None, {vm.name: vm for vm in vms}, trace=trace
+        )
+        orch.start()
+        sim.run()
+        return orch, trace
+
+    def test_exploit_succeeds_on_vulnerable_kernel(self):
+        vm = FakeVm("c4_1", "linux-4.19.1")
+        orch, trace = self.run([vm], [("c4_1", 21 * MINUTES)])
+        assert vm.compromised and vm.shift == -24_000
+        assert [(a.target, a.succeeded) for a in orch.exploits] == [
+            ("c4_1", True)
+        ]
+        assert trace.count(category="attack.exploit_success") == 1
+        assert trace.count(category="attack.exploit_failed") == 0
+
+    def test_exploit_fails_on_patched_kernel(self):
+        vm = FakeVm("c1_1", "linux-5.4.0")
+        orch, trace = self.run([vm], [("c1_1", 31 * MINUTES)])
+        assert not vm.compromised
+        assert [(a.target, a.kernel, a.succeeded) for a in orch.exploits] == [
+            ("c1_1", "linux-5.4.0", False)
+        ]
+        assert trace.count(category="attack.exploit_failed") == 1
+        assert trace.count(category="attack.exploit_success") == 0
+
+    def test_exploit_fails_on_down_vm(self):
+        vm = FakeVm("c4_1", "linux-4.19.1", running=False)
+        orch, trace = self.run([vm], [("c4_1", SECONDS)])
+        assert not vm.compromised
+        assert not orch.exploits[0].succeeded
+
+    def test_two_exploits_run_in_time_order(self):
+        a = FakeVm("c4_1", "linux-4.19.1")
+        b = FakeVm("c1_1", "linux-4.19.1")
+        # Listed out of time order: the stages fire by their times.
+        orch, trace = self.run(
+            [a, b], [("c1_1", 31 * MINUTES), ("c4_1", 21 * MINUTES)]
+        )
+        assert [(x.time, x.target) for x in orch.exploits] == [
+            (21 * MINUTES, "c4_1"), (31 * MINUTES, "c1_1")
+        ]
+        assert a.compromised and b.compromised
+
+    @pytest.mark.parametrize("action", ["exploit", "vm_stop"])
+    def test_unknown_victim_rejected_when_testbed_is_built(self, action):
+        plan = ChaosPlan(name="ghost", stages=(
+            ChaosStage(at=SECONDS, action=action, victims=("c1_1", "c9_9")),
+        ))
+        with pytest.raises(ValueError, match="c9_9 not in this testbed"):
+            Testbed(TestbedConfig(seed=5, chaos=plan))
+
+
+class TestVmStopStage:
+    def test_stops_without_reboot_and_ignores_a_stopped_vm(self):
+        plan = ChaosPlan(name="stop", stages=(
+            ChaosStage(at=1 * SECONDS, action="vm_stop", victims=("c3_1",),
+                       label="gm-kill"),
+            ChaosStage(at=2 * SECONDS, action="vm_stop",
+                       victims=("c3_1", "c4_2")),
+        ))
+        tb = Testbed(TestbedConfig(seed=5, chaos=plan))
+        vm = tb.vms["c3_1"]
+        tb.run_until(int(1.5 * SECONDS))
+        assert vm.state is VmState.STOPPED and vm.fail_silent_count == 1
+        boots = vm.boots
+        tb.run_until(60 * SECONDS)
+        # No reboot was scheduled, and the second stop left c3_1 alone.
+        assert vm.state is VmState.STOPPED and vm.fail_silent_count == 1
+        assert vm.boots == boots
+        assert tb.vms["c4_2"].state is VmState.STOPPED
+        assert [(r.source, r.fields["reason"])
+                for r in tb.trace.query("fault.fail_silent")] == [
+            ("c3_1", "gm-kill"), ("c4_2", "vm_stop")
+        ]
+        assert tb.trace.count("chaos.stage") == 2
 
 
 @pytest.mark.slow

@@ -87,9 +87,9 @@ class _Intercepted(Exception):
 
 
 class TestFaultsHours:
-    """``faults --hours N`` without ``--compress`` runs N simulated hours,
-    and so does ``export --hours N`` (which compresses the schedule below
-    24 h and runs the paper's schedule from 24 h up)."""
+    """``faults --hours N`` and ``export --hours N`` run the same N
+    simulated hours: of the paper's fault schedule, or with ``--compress``
+    of that schedule compressed into them."""
 
     def _config(self, monkeypatch, argv):
         from repro.experiments import fault_injection
@@ -120,6 +120,14 @@ class TestFaultsHours:
 
         config = self._config(monkeypatch, command + ["--hours", hours])
         assert config.duration == round(float(hours) * HOURS)
+
+    @pytest.mark.parametrize("flags", [[], ["--compress"]],
+                             ids=["paper-schedule", "compressed"])
+    def test_export_runs_the_faults_config(self, flags, monkeypatch):
+        argv = ["--hours", "0.5"] + flags
+        faults = self._config(monkeypatch, ["faults"] + argv)
+        export = self._config(monkeypatch, ["export", "bundle"] + argv)
+        assert export == faults
 
     def test_24_hours_is_the_papers_config(self, monkeypatch):
         from repro.experiments.fault_injection import (

@@ -1,10 +1,7 @@
 """Unit tests for the security model."""
 
-import random
-
 import pytest
 
-from repro.security.attacker import Attacker, AttackerConfig
 from repro.security.diversity import (
     DEFAULT_KERNEL_POOL,
     assign_kernels,
@@ -17,9 +14,6 @@ from repro.security.kernels import (
     is_vulnerable,
     parse_kernel_version,
 )
-from repro.sim.kernel import Simulator
-from repro.sim.timebase import MINUTES, SECONDS
-from repro.sim.trace import TraceLog
 
 
 class TestKernels:
@@ -74,73 +68,3 @@ class TestDiversity:
     def test_vulnerabilities_of_lists_applicable(self):
         assert "CVE-2018-18955" in vulnerabilities_of("linux-4.19.1")
         assert "CVE-2022-0847" in vulnerabilities_of("linux-5.10.0")
-
-
-class FakeVm:
-    """Just enough ClockSyncVm surface for the Attacker."""
-
-    def __init__(self, name, kernel, running=True):
-        self.name = name
-        self.running = running
-        self.compromised = False
-        self.shift = None
-
-        class Cfg:
-            kernel_version = kernel
-
-        self.config = Cfg()
-
-    def compromise(self, origin_shift):
-        self.compromised = True
-        self.shift = origin_shift
-
-
-class TestAttacker:
-    def plan(self, vms, times):
-        sim = Simulator()
-        trace = TraceLog()
-        attacker = Attacker(
-            sim,
-            {vm.name: vm for vm in vms},
-            AttackerConfig(exploit_times=times),
-            trace=trace,
-        )
-        attacker.arm()
-        sim.run()
-        return attacker, trace
-
-    def test_exploit_succeeds_on_vulnerable_kernel(self):
-        vm = FakeVm("c4_1", "linux-4.19.1")
-        attacker, trace = self.plan([vm], {"c4_1": 21 * MINUTES})
-        assert vm.compromised and vm.shift == -24_000
-        assert attacker.compromised == ["c4_1"]
-        assert trace.count(category="attack.exploit_success") == 1
-
-    def test_exploit_fails_on_patched_kernel(self):
-        vm = FakeVm("c1_1", "linux-5.4.0")
-        attacker, trace = self.plan([vm], {"c1_1": 31 * MINUTES})
-        assert not vm.compromised
-        assert attacker.compromised == []
-        assert trace.count(category="attack.exploit_failed") == 1
-
-    def test_exploit_fails_on_down_vm(self):
-        vm = FakeVm("c4_1", "linux-4.19.1", running=False)
-        attacker, trace = self.plan([vm], {"c4_1": SECONDS})
-        assert not vm.compromised
-
-    def test_two_target_plan_executes_in_order(self):
-        a = FakeVm("c4_1", "linux-4.19.1")
-        b = FakeVm("c1_1", "linux-4.19.1")
-        attacker, trace = self.plan(
-            [a, b], {"c4_1": 21 * MINUTES, "c1_1": 31 * MINUTES}
-        )
-        assert [x.target for x in attacker.attempts] == ["c4_1", "c1_1"]
-        assert attacker.compromised == ["c4_1", "c1_1"]
-
-    def test_unknown_target_rejected_at_construction(self):
-        with pytest.raises(KeyError):
-            Attacker(
-                Simulator(),
-                {},
-                AttackerConfig(exploit_times={"ghost": 0}),
-            )

@@ -60,6 +60,11 @@ SMOKES = (
       "--seed", "3", "--metrics", "chaos_smoke_metrics.json"], (0,)),
     (["campaign", "--colluders", "1", "--duration", "180", "--seed", "3",
       "--metrics", "campaign_smoke_metrics.json"], (0,)),
+    (["cyber", "--policy", "identical", "--scale", "0.12", "--seed", "3"],
+     (0,)),
+    (["cyber", "--policy", "diverse", "--scale", "0.12", "--seed", "3"],
+     (0,)),
+    (["linkfail", "--seed", "12"], (0,)),
     (["sweep", "envelope", "--scenario", "paper-mesh4", "--duration", "60",
       "--no-cache", "--metrics", "envelope_smoke_metrics.json"], (0,)),
     (["study", "run", "{root}/examples/studies/mc_mesh4_smoke.json",
