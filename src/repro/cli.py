@@ -354,13 +354,17 @@ def cmd_linkfail(args: argparse.Namespace) -> int:
         run_link_failure_experiment,
     )
 
-    result = run_link_failure_experiment(
-        LinkFailureConfig(
-            seed=args.seed,
-            trunk=tuple(args.trunk) if args.trunk else None,
-        ),
-        scenario=_scenario_of(args),
-    )
+    try:
+        result = run_link_failure_experiment(
+            LinkFailureConfig(
+                seed=args.seed,
+                trunk=tuple(args.trunk) if args.trunk else None,
+            ),
+            scenario=_scenario_of(args),
+        )
+    except ValueError as exc:
+        print(f"linkfail: {exc}", file=sys.stderr)
+        return 2
     payload = {
         "trunk": list(result.config.trunk),
         "silenced": {vm: sorted(d) for vm, d in result.silenced.items() if d},
@@ -468,10 +472,7 @@ def _cmd_sweep_envelope(args: argparse.Namespace) -> int:
 
     duration = round((args.duration if args.duration is not None else 120.0)
                      * SECONDS)
-    kwargs: Dict[str, Any] = {}
-    exec_kwargs = _executor_kwargs(args)
-    if "cache" in exec_kwargs:
-        kwargs["cache"] = exec_kwargs["cache"]
+    kwargs = _executor_kwargs(args)
     # --fidelity full (the flag's global default) keeps the study's auto
     # tiering (adaptive at >= 64 devices, full below); --fidelity adaptive
     # forces adaptive everywhere.
@@ -543,9 +544,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return _cmd_sweep_envelope(args)
     from repro.experiments.sweeps import (
         SWEEP_AXES,
-        axis_duration,
         breaking_point,
         render_rows,
+        sweep_axis,
     )
     from repro.monitoring import worst_status
     from repro.parallel import config_fingerprint
@@ -555,7 +556,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     run_kwargs = _executor_kwargs(args)
     if args.duration is not None:
         run_kwargs["duration"] = round(args.duration * SECONDS)
-    duration = run_kwargs.get("duration", axis_duration(args.study))
+    duration = run_kwargs.get("duration", SWEEP_AXES[args.study].duration)
 
     def budget_of(rows) -> Optional[Dict[str, Any]]:
         if args.study != "attackbudget":
@@ -592,8 +593,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     rows = _run_recorded(
         args,
-        lambda registry: SWEEP_AXES[args.study](
-            seed=args.seed, scenario=spec, metrics=registry,
+        lambda registry: sweep_axis(
+            args.study, seed=args.seed, scenario=spec, metrics=registry,
             fidelity=args.fidelity, **run_kwargs,
         ),
         record,
@@ -1165,11 +1166,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one of: %(choices)s")
     p.add_argument("--seed", type=int, default=9)
     p.add_argument("--duration", type=float, default=None,
-                   help="seconds of simulated time per point (default: "
-                        "900 for attackbudget — the differential bias "
-                        "that breaks the bound integrates for minutes — "
-                        "120 otherwise; for 'envelope' this sets the clean "
-                        "arms only, the adversarial arm keeps its 900 s)")
+                   help="seconds of simulated time per point (default: the "
+                        "study's own, see EXPERIMENTS.md; for 'envelope' "
+                        "this sets the clean arms only, the adversarial arm "
+                        "keeps the attackbudget arms' duration)")
     add_scenario_flag(p)
     add_fidelity_flag(p)
     add_executor_flags(p)

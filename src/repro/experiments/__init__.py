@@ -39,13 +39,10 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "montecarlo": ("MonteCarloResult", "SeedOutcome", "run_monte_carlo"),
     "chaos": ("ChaosExperimentConfig", "ChaosResult", "run_chaos_experiment"),
     "sweeps": (
+        "SWEEP_AXES",
         "SweepRow",
         "render_rows",
         "sweep",
-        "sweep_domain_count",
-        "sweep_sync_interval",
-        "sweep_aggregation",
-        "sweep_loss_rate",
-        "sweep_validity_threshold",
+        "sweep_axis",
     ),
 })

@@ -10,9 +10,10 @@ the parent-side codecs needed to round-trip each job's result through the
 
 The split is the submit → schedule → collect pipeline from ROADMAP item 2:
 
-* **submit** — an experiment *compiles* its arms into a ``Study``
-  (:func:`repro.experiments.montecarlo.run_monte_carlo` and friends all
-  accept ``compile_only=True`` to expose their compiler);
+* **submit** — an experiment *compiles* its arms into a ``Study``, one
+  compiler per study kind (``compile_monte_carlo``, ``compile_sweep`` and
+  ``compile_axis``, ``compile_envelope``, ``compile_chaos_study``), which
+  the library entry points, the CLI and study specs all call;
 * **schedule** — :func:`repro.studies.runner.run_study` dedupes against
   the content-addressed store and runs the remainder on the existing
   :class:`repro.parallel.WorkerPool`, journaling progress in a

@@ -287,7 +287,6 @@ class TestEnvelopeCatchesCollusion:
             seed=9,
             attack_check=True,
             attack_colluders=2,
-            attack_start=60 * SECONDS,
         )
         (row,) = rows
         assert row.attack == "collude-k2"

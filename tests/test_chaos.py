@@ -227,6 +227,30 @@ class TestOrchestrator:
         with pytest.raises(KeyError):
             orch.resolve_links(("device:9",))
 
+    @pytest.mark.parametrize("stage, selector", [
+        (ChaosStage(at=SECONDS, action="link_down", links=("sw1-sw9",)),
+         "sw1-sw9"),
+        (ChaosStage(at=SECONDS, action="impair", links=("*", "nic:c9_1"),
+                    impairment=LOSS), "nic:c9_1"),
+        (ChaosStage(at=SECONDS, action="attack", attack="wormhole",
+                    links=("sw1-sw2",), dest="sw3-sw9", tunnel_delay=500),
+         "sw3-sw9"),
+    ])
+    def test_unknown_link_rejected_when_testbed_is_built(self, stage,
+                                                         selector):
+        # Not when the stage fires: a plan naming a missing link fails
+        # before anything is simulated, naming the stage, the selector and
+        # the trunks it could have meant.
+        plan = ChaosPlan(name="typo", stages=(stage,))
+        with pytest.raises(ValueError) as info:
+            Testbed(TestbedConfig(seed=5, chaos=plan))
+        message = str(info.value)
+        assert f"chaos plan 'typo', {stage.action} stage at t={SECONDS}" \
+            in message
+        assert repr(selector) in message
+        assert "sw1-sw2, sw1-sw3, sw1-sw4, sw2-sw3, sw2-sw4, sw3-sw4" \
+            in message
+
     def test_stages_execute_and_restore(self):
         plan = ChaosPlan(name="cycle", stages=(
             ChaosStage(at=1 * SECONDS, action="impair", links=("sw1-sw2",),

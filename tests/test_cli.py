@@ -180,10 +180,26 @@ class TestLinkFailCommand:
         assert payload["violations"] == 0
         assert payload["silenced"]  # someone lost a domain during the outage
 
-    def test_linkfail_measurement_trunk_rejected(self):
-        import pytest as _pytest
-        with _pytest.raises(ValueError):
-            main(["linkfail", "--trunk", "sw1", "sw2"])
+    def test_linkfail_measurement_trunk_rejected(self, capsys):
+        assert main(["linkfail", "--trunk", "sw1", "sw2"]) == 2
+        err = capsys.readouterr().err
+        assert "carries the measurement VLAN" in err
+        assert len(err.splitlines()) == 1
+
+    def test_linkfail_missing_trunk_exits_2_before_simulating(
+            self, capsys, monkeypatch):
+        from repro.sim.kernel import Simulator
+
+        def no_events(self, time):
+            raise AssertionError("simulated before rejecting the trunk")
+
+        monkeypatch.setattr(Simulator, "run_until", no_events)
+        assert main(["linkfail", "--trunk", "sw1", "sw9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("linkfail: chaos plan ")
+        assert "'sw1-sw9'" in line and "sw3-sw4" in line
 
 
 class TestExportCommand:
@@ -274,6 +290,19 @@ class TestEnvelopeSweepCommand:
         assert manifest["extra"]["min_margin_ns"] == pytest.approx(
             row["margin_ns"]
         )
+
+    def test_workers_run_the_arms_on_the_pool(self, tmp_path, capsys):
+        # Pool runs report per-chunk wall times; serial runs, per arm.
+        metrics = tmp_path / "metrics.json"
+        code = main(["sweep", "envelope", "--scenario", "paper-mesh4",
+                     "--duration", "60", "--no-cache", "--workers", "2",
+                     "--metrics", str(metrics), "--json"])
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert code == 0
+        assert row["scenario"] == "paper-mesh4"
+        recorded = json.loads(metrics.read_text())["metrics"]
+        assert "envelope.chunk_seconds" in recorded
+        assert "envelope.arm_seconds" not in recorded
 
 
 class TestEnvelopeManifestScenario:

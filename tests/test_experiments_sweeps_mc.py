@@ -7,9 +7,7 @@ from repro.experiments.sweeps import (
     SweepRow,
     render_rows,
     sweep,
-    sweep_aggregation,
-    sweep_domain_count,
-    sweep_sync_interval,
+    sweep_axis,
 )
 from repro.experiments.testbed import TestbedConfig
 from repro.sim.timebase import MINUTES, SECONDS
@@ -32,22 +30,22 @@ class TestSweepFramework:
             sweep("x", [], lambda v: TestbedConfig())
 
     def test_domain_count_sweep_tightens_bound_factor(self):
-        rows = sweep_domain_count(values=(4, 5), duration=90 * SECONDS,
-                                  warmup_records=20)
+        rows = sweep_axis("domains", values=(4, 5), duration=90 * SECONDS,
+                          warmup_records=20)
         # More domains: more GMs surveyed, but u-factor drops 2.0 -> 1.5;
         # both must converge inside their bounds.
         assert all(r.converged for r in rows)
         assert all(r.max_precision_ns < r.bound_ns for r in rows)
 
     def test_sync_interval_sweep_scales_gamma(self):
-        rows = sweep_sync_interval(values=(62.5, 250.0),
-                                   duration=90 * SECONDS, warmup_records=20)
+        rows = sweep_axis("interval", values=(62.5, 250.0),
+                          duration=90 * SECONDS, warmup_records=20)
         # Γ doubles with S: the 250ms bound exceeds the 62.5ms bound.
         assert rows[1].bound_ns > rows[0].bound_ns
 
     def test_aggregation_sweep_steady_state_similar(self):
-        rows = sweep_aggregation(values=("fta", "median"),
-                                 duration=90 * SECONDS, warmup_records=20)
+        rows = sweep_axis("aggregation", values=("fta", "median"),
+                          duration=90 * SECONDS, warmup_records=20)
         avg = [r.avg_precision_ns for r in rows]
         assert max(avg) < 3 * min(avg)  # fault-free: no dramatic difference
 

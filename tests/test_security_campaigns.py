@@ -704,10 +704,11 @@ class TestAttackBudgetSweep:
         assert bp["first_fail"] is None
 
     def test_sweep_shape(self):
-        from repro.experiments.sweeps import sweep_attack_budget
+        from repro.experiments.sweeps import sweep_axis
 
-        rows = sweep_attack_budget(
-            values=(0, 1), seed=5, duration=10 * SECONDS, warmup_records=0,
+        rows = sweep_axis(
+            "attackbudget", values=(0, 1), seed=5, duration=10 * SECONDS,
+            warmup_records=0,
         )
         assert [r.value for r in rows] == [0, 1]
         assert all(r.parameter == "colluders" for r in rows)
@@ -726,10 +727,10 @@ class TestAttackBudgetSweep:
         monitor FAIL. (A unanimous k = M-1 bloc is gentler: identical
         trims everywhere make the bias common-mode.)
         """
-        from repro.experiments.sweeps import breaking_point, sweep_attack_budget
+        from repro.experiments.sweeps import breaking_point, sweep_axis
 
-        rows = sweep_attack_budget(values=(1, 2), seed=9,
-                                   duration=15 * MINUTES)
+        rows = sweep_axis("attackbudget", values=(1, 2), seed=9,
+                          duration=15 * MINUTES)
         by_k = {r.value: r.verdict for r in rows}
         assert by_k[1] == PASS
         assert by_k[2] == FAIL

@@ -17,21 +17,16 @@ import pytest
 
 from repro.experiments.chaos import (
     ChaosExperimentConfig,
+    compile_chaos_study,
     result_digest,
     run_chaos_experiment,
-    run_chaos_study,
 )
 from repro.experiments.montecarlo import run_monte_carlo
-from repro.experiments.sweeps import (
-    sweep,
-    sweep_attack_budget,
-    sweep_domain_count,
-    sweep_envelope,
-    sweep_loss_rate,
-)
+from repro.experiments.sweeps import sweep, sweep_axis, sweep_envelope
 from repro.experiments.testbed import TestbedConfig
 from repro.chaos.plan import single_loss_plan
 from repro.sim.timebase import SECONDS
+from repro.studies import run_study
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "studies_golden.json")
@@ -56,20 +51,20 @@ class TestGoldenParity:
 
     @pytest.mark.slow
     def test_domain_count_sweep(self):
-        rows = sweep_domain_count(values=(4, 5), duration=60 * SECONDS,
-                                  warmup_records=10)
+        rows = sweep_axis("domains", values=(4, 5), duration=60 * SECONDS,
+                          warmup_records=10)
         assert repr_hash(rows) == GOLDEN["sweep_domains_4_5_60s"]
 
     @pytest.mark.slow
     def test_loss_rate_sweep(self):
-        rows = sweep_loss_rate(values=(0.0, 0.2), duration=90 * SECONDS,
-                               warmup_records=10)
+        rows = sweep_axis("lossrate", values=(0.0, 0.2),
+                          duration=90 * SECONDS, warmup_records=10)
         assert repr_hash(rows) == GOLDEN["sweep_lossrate_0_0.2_90s"]
 
     @pytest.mark.slow
     def test_attack_budget_sweep(self):
-        rows = sweep_attack_budget(values=(0, 1), duration=120 * SECONDS,
-                                   warmup_records=10)
+        rows = sweep_axis("attackbudget", values=(0, 1),
+                          duration=120 * SECONDS, warmup_records=10)
         assert repr_hash(rows) == GOLDEN["sweep_attackbudget_0_1_120s"]
 
     def test_envelope_sweep(self):
@@ -86,8 +81,9 @@ class TestGoldenParity:
 
     def test_chaos_study_row_carries_same_digest(self):
         """The study row's provenance digest equals the direct-run hash."""
-        (row,) = run_chaos_study([ChaosExperimentConfig(
+        plan = compile_chaos_study([ChaosExperimentConfig(
             duration=90 * SECONDS, seed=1,
             plan=single_loss_plan(0.1, start=30 * SECONDS),
         )])
+        (row,) = plan.collect(run_study(plan.study))
         assert row.digest == GOLDEN["chaos_loss_0.1_90s_seed_1"]
