@@ -67,6 +67,12 @@ SMOKES = (
     (["linkfail", "--seed", "12"], (0,)),
     (["sweep", "envelope", "--scenario", "paper-mesh4", "--duration", "60",
       "--no-cache", "--metrics", "envelope_smoke_metrics.json"], (0,)),
+    # The sweep-table smoke; its `study run` of an inline lossrate spec is
+    # left out (argv only here), and tier-1's study-plan pins reach that
+    # spec planner.
+    (["sweep", "lossrate", "--duration", "60", "--no-cache", "--json"],
+     (0,)),
+    (["linkfail", "--trunk", "sw1", "sw9"], (2,)),
     (["study", "run", "{root}/examples/studies/mc_mesh4_smoke.json",
       "--ledger", "smoke.ledger.json", "--cache-dir", "smoke_store",
       "--max-jobs", "1"], (3,)),
